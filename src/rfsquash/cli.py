@@ -347,7 +347,6 @@ def cmd_squash(args: argparse.Namespace) -> int:
         dataset,
         fit_config,
         prediction_mode=args.mode,
-        seed=args.seed,
         n_jobs=_util.thread_count(),
     )
     squash_seconds = time.perf_counter() - t0
@@ -530,7 +529,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     train,
                     fit_config,
                     prediction_mode=mode,
-                    seed=args.seed,
                     n_jobs=_util.thread_count(),
                 )
                 squashed[skey] = (fitted, time.perf_counter() - t0)
@@ -645,7 +643,11 @@ def _bench_table(rows: list[dict[str, Any]]) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="global RNG seed for train, data specs and bench splits (squash "
+        "re-derives subsamples from the forest's stored seed)",
+    )
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )

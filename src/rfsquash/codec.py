@@ -160,6 +160,14 @@ def _decode_forest_payload(cur: _Cursor) -> Forest:
     config = _decode_config(cur)
     p, dataset_rows, fingerprint = struct.unpack("<IIQ", cur.take(16))
     width = cur.width
+    node = np.dtype(  # one node record, packed as docs/format.md lays it out
+        [
+            ("feature", "<u4"),
+            ("threshold", _float_dtype(width)),
+            ("left", "<u4"),
+            ("right", "<u4"),
+        ]
+    )
     trees = []
     for _ in range(config.n_trees):
         n_internal, n_leaves = struct.unpack("<II", cur.take(8))
@@ -167,27 +175,21 @@ def _decode_forest_payload(cur: _Cursor) -> Forest:
             raise CodecError(
                 f"tree declares {n_internal} internal nodes and {n_leaves} leaves"
             )
-        feats = np.empty(n_internal, dtype=np.int32)
-        thresholds = np.empty(n_internal, dtype=np.float64)
-        left = np.empty(n_internal, dtype=np.int32)
-        right = np.empty(n_internal, dtype=np.int32)
-        for i in range(n_internal):
-            feats[i] = cur.u32()
-            thresholds[i] = cur.floats(1, width)[0]
-            left[i] = cur.u32()
-            right[i] = cur.u32()
+        nodes = np.frombuffer(cur.take(n_internal * node.itemsize), dtype=node)
         values = cur.floats(n_leaves, width)
-        counts = np.frombuffer(cur.take(4 * n_leaves), dtype="<u4").astype(np.int32)
-        trees.append(
-            DecisionTree(
-                split_features=feats,
-                split_thresholds=thresholds,
-                children_left=left,
-                children_right=right,
+        counts = np.frombuffer(cur.take(4 * n_leaves), dtype="<u4").astype(np.int64)
+        try:
+            tree = DecisionTree(
+                split_features=nodes["feature"].astype(np.int64),
+                split_thresholds=nodes["threshold"].astype(np.float64),
+                children_left=nodes["left"].astype(np.int64),
+                children_right=nodes["right"].astype(np.int64),
                 leaf_values=values,
                 leaf_counts=counts,
             )
-        )
+        except ValueError as exc:
+            raise CodecError(f"malformed tree {len(trees)}: {exc}") from None
+        trees.append(tree)
     return Forest(
         trees=tuple(trees),
         config=config,
@@ -240,11 +242,12 @@ def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
             )
         )
     modes = {s.prediction_mode for s in surrogates}
-    mode = surrogates[0].prediction_mode if len(modes) == 1 else "expectation"
+    if len(modes) != 1:
+        raise CodecError(f"surrogate trees mix prediction modes {sorted(modes)}")
     return SurrogateForest(
         surrogates=tuple(surrogates),
         config=config,
-        prediction_mode=mode,
+        prediction_mode=modes.pop(),
         n_features=p,
     )
 
@@ -262,15 +265,17 @@ def encode(model: Forest | SurrogateForest, float_width: str = "f64") -> bytes:
     if isinstance(model, Forest):
         if not model.trees:
             raise CodecError("refusing to encode a forest with zero trees")
-        kind = KIND_FOREST
-        payload = _encode_forest_payload(model, width)
+        kind, encode_payload = KIND_FOREST, _encode_forest_payload
     elif isinstance(model, SurrogateForest):
         if not model.surrogates:
             raise CodecError("refusing to encode a surrogate forest with zero trees")
-        kind = KIND_SURROGATE
-        payload = _encode_surrogate_payload(model, width)
+        kind, encode_payload = KIND_SURROGATE, _encode_surrogate_payload
     else:
         raise TypeError(f"cannot encode {type(model).__name__}")
+    try:
+        payload = encode_payload(model, width)
+    except struct.error as exc:
+        raise CodecError(f"a field does not fit its unsigned integer slot: {exc}") from None
     header = MAGIC + struct.pack("<HBBQ", FORMAT_VERSION, kind, width, len(payload))
     return header + payload + struct.pack("<I", zlib.crc32(payload))
 

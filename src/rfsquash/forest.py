@@ -79,6 +79,11 @@ class DecisionTree:
     ``c < K - 1`` and to leaf ``c - (K - 1)`` otherwise, where K is the leaf
     count. Leaves are numbered 0..K-1 left-to-right. A K=1 tree has no
     internal nodes and its single leaf is the root.
+
+    Internal nodes are numbered in preorder, so every child pointer exceeds
+    its parent's index; with every node but the root and every leaf
+    referenced exactly once, this makes the arrays a tree that any descent
+    leaves in at most K-1 steps.
     """
 
     split_features: np.ndarray
@@ -107,6 +112,26 @@ class DecisionTree:
             raise ValueError(
                 f"{self.split_features.shape[0]} internal nodes for {k} leaves; "
                 f"a proper binary tree needs exactly K-1"
+            )
+        for name in ("split_thresholds", "children_left", "children_right"):
+            if getattr(self, name).shape != (k - 1,):
+                raise ValueError(f"{name} must have K-1 = {k - 1} entries")
+        if self.leaf_counts.shape != (k,) or self.leaf_counts.min() < 0:
+            raise ValueError(f"leaf_counts must be K = {k} non-negative counts")
+        # Preorder and in range: node i's pointers lie in (i, 2K-2]. The 2K-2
+        # pointers then reference every slot 1..2K-2 exactly once iff no slot
+        # is referenced twice.
+        children = np.concatenate([self.children_left, self.children_right])
+        gaps = children.reshape(2, k - 1) - np.arange(k - 1)
+        if gaps.min(initial=1) < 1 or children.max(initial=0) > 2 * (k - 1):
+            raise ValueError(
+                "child pointers must exceed their parent's index (preorder) "
+                f"and lie below 2K-1 = {2 * k - 1}"
+            )
+        if np.bincount(children).max(initial=0) > 1:
+            raise ValueError(
+                "every internal node but the root and every leaf must be "
+                "referenced exactly once"
             )
 
     @property

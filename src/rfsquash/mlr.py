@@ -8,9 +8,15 @@ Fitting maximizes
 
     sum_i log theta_{i, label_i}  -  (lambda/2) * ||all parameters||^2
 
-by exact Newton with step-halving while the parameter count is small, and by
-limited-memory quasi-Newton ascent above that. A small positive penalty keeps
-the optimum finite on separable data, where the unpenalized MLE diverges.
+by truncated Newton-CG with step-halving (Lin, Weng & Keerthi 2008, JMLR 9):
+each Newton direction comes from conjugate gradients on Hessian-vector
+products, which cost O(N (K-1)(p+1)) and never form the Hessian, and CG is
+preconditioned with Boehning's fixed curvature bound (Boehning 1992, Ann.
+Inst. Stat. Math. 44:197). The same path runs at every problem size. A small
+positive penalty keeps the optimum finite on separable data, where the
+unpenalized MLE diverges. The fit stops when the max-norm of the penalized
+gradient with respect to the original-scale parameters is within the
+tolerance, or at the iteration cap.
 
 Features are standardized internally for conditioning; the penalty is applied
 to the original-scale parameters (pulled back through the standardization
@@ -27,11 +33,7 @@ from scipy.special import gammaln
 
 from .errors import NumericError
 
-NEWTON_PARAM_LIMIT = 2000
-_LBFGS_MEMORY = 10
 _MAX_HALVINGS = 50
-
-OPTIMIZERS = ("auto", "newton", "first_order")
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,13 @@ class MlrModel:
 
 @dataclass(frozen=True)
 class MlrFitConfig:
-    """Fitting knobs: penalty strength, iteration cap, gradient tolerance,
-    and optimizer choice ("auto" picks Newton up to NEWTON_PARAM_LIMIT
-    parameters, first_order above)."""
+    """Fitting knobs: penalty strength, the cap on Newton iterations, and the
+    tolerance on the max-norm of the original-scale penalized gradient that
+    counts as converged."""
 
     l2_penalty: float = 1e-6
     max_iterations: int = 100
     gradient_tolerance: float = 1e-6
-    optimizer: str = "auto"
 
     def __post_init__(self) -> None:
         if self.l2_penalty < 0:
@@ -101,15 +102,15 @@ class MlrFitConfig:
             raise ValueError(
                 f"gradient_tolerance must be positive, got {self.gradient_tolerance}"
             )
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
-            )
 
 
 @dataclass(frozen=True)
 class MlrFitResult:
-    """A fitted model plus how the optimizer stopped."""
+    """A fitted model plus how the optimizer stopped.
+
+    ``optimizer_used`` is "newton" for every fitted model and "none" when no
+    category but the base has data, so there is nothing to fit.
+    """
 
     model: MlrModel
     converged: bool
@@ -259,24 +260,25 @@ class _Objective:
         active: np.ndarray,
         l2_penalty: float,
     ) -> None:
-        self.x = x
         self.labels = labels
         self.k = n_categories
         self.active = active  # indices of non-base categories with data
         self.lam = l2_penalty
         self.n, self.p = x.shape
 
-        self.mean = x.mean(axis=0)
+        mean = x.mean(axis=0)
         scale = x.std(axis=0)
         scale[scale == 0.0] = 1.0
-        self.scale = scale
-        self.z = (x - self.mean) / self.scale
+        # Phi = [1, z] as one contiguous array: every product below is one GEMM
+        self.phi = np.empty((self.n, self.p + 1))
+        self.phi[:, 0] = 1.0
+        np.divide(x - mean, scale, out=self.phi[:, 1:])
 
         # T maps standardized params [a', b'] to original [a, b] per category
         t = np.zeros((self.p + 1, self.p + 1))
         t[0, 0] = 1.0
-        t[0, 1:] = -self.mean / self.scale
-        t[1:, 1:] = np.diag(1.0 / self.scale)
+        t[0, 1:] = -mean / scale
+        t[1:, 1:] = np.diag(1.0 / scale)
         self.t = t
         self.t_inv = np.linalg.inv(t)
         self.penalty_quad = l2_penalty * (t.T @ t)
@@ -285,14 +287,24 @@ class _Objective:
         for col, j in enumerate(active):
             self.one_hot[labels == j, col] = 1.0
 
+        # Preconditioner: Boehning's bound (1/2)(I - 11'/K) (x) G on the
+        # negative log-likelihood Hessian, G = Phi'Phi, plus I (x) penalty_quad.
+        # (I - 11'/K) has eigenvalue 1 - A/K along the all-ones category
+        # direction and 1 across it, so the inverse applied to R (A, p+1) is
+        # R B + mean(R) (B_mean - B), with B and B_mean the two block inverses.
+        gram = self.phi.T @ self.phi
+        shrink = 1.0 - len(active) / n_categories
+        self._precond = np.linalg.pinv(0.5 * gram + self.penalty_quad, hermitian=True)
+        self._precond_mean = (
+            np.linalg.pinv(0.5 * shrink * gram + self.penalty_quad, hermitian=True)
+            - self._precond
+        )
+
     def _logits(self, w: np.ndarray) -> np.ndarray:
         """w has shape (A, p+1); returns (N, K) logits, inactive columns 0."""
         logits = np.zeros((self.n, self.k))
-        logits[:, self.active] = w[:, 0] + self.z @ w[:, 1:].T
+        logits[:, self.active] = self.phi @ w.T
         return logits
-
-    def probabilities(self, w: np.ndarray) -> np.ndarray:
-        return _softmax(self._logits(w))
 
     def to_original(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map standardized (A, p+1) params to full original-scale (K-1, p+1)."""
@@ -312,24 +324,32 @@ class _Objective:
         mapped = w @ self.t.T
         return 0.5 * self.lam * float(np.sum(mapped * mapped))
 
-    def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """One pass computing the objective and its standardized-space gradient."""
+    def value_grad_probs(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """One pass computing the objective, its standardized-space gradient
+        (A, p+1), and the (N, A) active-category probabilities that
+        curvature products at w need."""
         logits = self._logits(w)
         top = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - top)
         denom = e.sum(axis=1, keepdims=True)
         lse = np.log(denom[:, 0]) + top[:, 0]
         ll = float(np.sum(logits[np.arange(self.n), self.labels] - lse))
-        residual = self.one_hot - e[:, self.active] / denom
-        grad = np.empty_like(w)
-        grad[:, 0] = residual.sum(axis=0)
-        grad[:, 1:] = residual.T @ self.z
+        probs = e[:, self.active] / denom
+        grad = (self.one_hot - probs).T @ self.phi
         grad -= w @ self.penalty_quad.T
-        return ll - self._penalty(w), grad
+        return ll - self._penalty(w), grad, probs
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        """Gradient in standardized coordinates, shape (A, p+1)."""
-        return self.value_and_grad(w)[1]
+    def curvature(self, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Negative Hessian at the point with these probabilities, applied to
+        v (A, p+1), without forming the Hessian: O(N A (p+1)) time."""
+        # Per row, (diag(P) - P P') u = P * (u - P'u), computed in place.
+        u = self.phi @ v.T
+        u -= np.einsum("ij,ij->i", probs, u)[:, None]
+        u *= probs
+        return (self.phi.T @ u).T + v @ self.penalty_quad
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return r @ self._precond + r.mean(axis=0) @ self._precond_mean
 
     def grad_norm_original(self, grad_std: np.ndarray) -> float:
         """Max-norm of the penalized gradient w.r.t. original-scale parameters.
@@ -340,30 +360,44 @@ class _Objective:
         """
         return float(np.abs(grad_std @ self.t_inv).max())
 
-    def newton_direction(self, w: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Solve (-Hessian) d = gradient for the ascent direction."""
-        a = len(self.active)
-        d = self.p + 1
-        probs = self.probabilities(w)[:, self.active]
-        phi = np.hstack([np.ones((self.n, 1)), self.z])
 
-        neg_h = np.zeros((a * d, a * d))
-        for col in range(a):
-            block = (phi * probs[:, col : col + 1]).T @ phi
-            neg_h[col * d : (col + 1) * d, col * d : (col + 1) * d] = (
-                block + self.penalty_quad
-            )
-        gmat = (probs[:, :, None] * phi[:, None, :]).reshape(self.n, a * d)
-        neg_h -= gmat.T @ gmat
+def _newton_cg_direction(
+    objective: _Objective, probs: np.ndarray, grad: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Truncated preconditioned CG on (-Hessian) d = gradient.
 
-        try:
-            step = np.linalg.solve(neg_h, grad.ravel())
-        except np.linalg.LinAlgError:
-            # Singular curvature (possible at lambda = 0 on separable data):
-            # regularize slightly rather than fail.
-            neg_h[np.diag_indices_from(neg_h)] += 1e-8
-            step = np.linalg.solve(neg_h, grad.ravel())
-        return step.reshape(a, d)
+    Stops at relative residual min(0.5, sqrt(||g||)) (Eisenstat-Walker
+    forcing, superlinear near the optimum), or once the residual, which is
+    the gradient the quadratic model predicts after the step, is within half
+    the tolerance, or after one step per parameter.
+    """
+    g_norm = float(np.linalg.norm(grad))
+    forcing = min(0.5, np.sqrt(g_norm)) * g_norm
+    d = np.zeros_like(grad)
+    r = grad.copy()
+    z = objective.precondition(r)
+    s = z
+    rz = float(np.vdot(r, z))
+    for _ in range(grad.size):
+        q = objective.curvature(probs, s)
+        sq = float(np.vdot(s, q))
+        if sq <= 0.0 or rz <= 0.0:
+            # Flat direction (only reachable at lambda = 0): keep what CG
+            # has, or the preconditioned gradient on the first pass.
+            return d if d.any() else z
+        alpha = rz / sq
+        d += alpha * s
+        r -= alpha * q
+        if (
+            np.linalg.norm(r) <= forcing
+            or objective.grad_norm_original(r) <= 0.5 * tolerance
+        ):
+            break
+        z = objective.precondition(r)
+        rz_next = float(np.vdot(r, z))
+        s = z + (rz_next / rz) * s
+        rz = rz_next
+    return d
 
 
 def _ascend(
@@ -380,83 +414,23 @@ def _ascend(
     return w, f0, False
 
 
-def _fit_newton(
-    objective: _Objective, config: MlrFitConfig
-) -> tuple[np.ndarray, bool, int, float]:
+def _fit(objective: _Objective, config: MlrFitConfig) -> tuple[np.ndarray, bool, int, float]:
+    """Truncated Newton-CG ascent with step halving, from all-zero parameters."""
     w = np.zeros((len(objective.active), objective.p + 1))
-    f, grad = objective.value_and_grad(w)
+    f, grad, probs = objective.value_grad_probs(w)
     grad_norm = objective.grad_norm_original(grad)
     iterations = 0
     while grad_norm > config.gradient_tolerance and iterations < config.max_iterations:
-        direction = objective.newton_direction(w, grad)
+        direction = _newton_cg_direction(
+            objective, probs, grad, config.gradient_tolerance
+        )
         w, f, moved = _ascend(objective, w, direction, f)
         iterations += 1
-        f, grad = objective.value_and_grad(w)
+        f, grad, probs = objective.value_grad_probs(w)
         grad_norm = objective.grad_norm_original(grad)
         if not moved:
             break
     return w, grad_norm <= config.gradient_tolerance, iterations, grad_norm
-
-
-def _fit_lbfgs(
-    objective: _Objective, config: MlrFitConfig
-) -> tuple[np.ndarray, bool, int, float]:
-    shape = (len(objective.active), objective.p + 1)
-    w = np.zeros(shape).ravel()
-    f, grad2d = objective.value_and_grad(w.reshape(shape))
-    grad = grad2d.ravel()
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    grad_norm = objective.grad_norm_original(grad2d)
-    iterations = 0
-    while grad_norm > config.gradient_tolerance and iterations < config.max_iterations:
-        # Two-loop recursion on the ascent problem (signs mirror minimization).
-        q = grad.copy()
-        alphas = []
-        for s, yv in zip(reversed(s_hist), reversed(y_hist)):
-            a = (s @ q) / (yv @ s)
-            alphas.append(a)
-            q -= a * yv
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, yv), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-            b = (yv @ q) / (yv @ s)
-            q += (a - b) * s
-        direction = q
-        if direction @ grad <= 0:
-            direction = grad.copy()
-
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(1.0, float(np.abs(grad).sum())))
-        moved = False
-        slope = float(direction @ grad)
-        for _ in range(_MAX_HALVINGS):
-            cand = w + step * direction
-            f1, new_grad2d = objective.value_and_grad(cand.reshape(shape))
-            if np.isfinite(f1) and f1 >= f + 1e-4 * step * slope:
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        new_grad = new_grad2d.ravel()
-        s = cand - w
-        yv = grad - new_grad  # ascent: curvature uses the negated difference
-        if (s @ yv) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        w, grad, f = cand, new_grad, f1
-        iterations += 1
-        grad_norm = objective.grad_norm_original(new_grad2d)
-    return (
-        w.reshape(shape),
-        grad_norm <= config.gradient_tolerance,
-        iterations,
-        grad_norm,
-    )
 
 
 def fit_mlr(
@@ -464,14 +438,12 @@ def fit_mlr(
     labels: np.ndarray,
     n_categories: int,
     config: MlrFitConfig,
-    seed: int = 0,
 ) -> MlrFitResult:
     """Fit a multinomial logistic model by penalized maximum likelihood.
 
     Starts from all-zero coefficients. Categories absent from the labels are
     pinned at zero coefficients; they stay addressable at prediction time.
-    The ``seed`` parameter is reserved for stochastic optimizers; both
-    built-in optimizers are deterministic, so fits do not depend on it.
+    The fit is deterministic: equal inputs give bit-equal models.
 
     Returns
     -------
@@ -479,7 +451,6 @@ def fit_mlr(
         The fitted model plus whether the gradient tolerance was met before
         the iteration cap.
     """
-    del seed
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.size == 0:
         raise ValueError("empty feature matrix")
@@ -501,17 +472,10 @@ def fit_mlr(
         return MlrFitResult(model, True, 0, 0.0, "none")
 
     objective = _Objective(x, labels, n_categories, active, config.l2_penalty)
-    n_params = active.size * (p + 1)
-    optimizer = config.optimizer
-    if optimizer == "auto":
-        optimizer = "newton" if n_params <= NEWTON_PARAM_LIMIT else "first_order"
-    if optimizer == "newton":
-        w, converged, iterations, grad_norm = _fit_newton(objective, config)
-    else:
-        w, converged, iterations, grad_norm = _fit_lbfgs(objective, config)
+    w, converged, iterations, grad_norm = _fit(objective, config)
 
     alpha, beta = objective.to_original(w)
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise NumericError("optimizer produced non-finite coefficients")
     model = MlrModel(alpha, beta)
-    return MlrFitResult(model, converged, iterations, grad_norm, optimizer)
+    return MlrFitResult(model, converged, iterations, grad_norm, "newton")

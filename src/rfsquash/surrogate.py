@@ -112,6 +112,11 @@ class SurrogateForest:
         if self.n_features < 1:
             raise ValueError("surrogate forest must record a positive feature count")
         for s in self.surrogates:
+            if s.prediction_mode != self.prediction_mode:
+                raise ValueError(
+                    f"surrogate predicts in {s.prediction_mode!r} mode, forest "
+                    f"declares {self.prediction_mode!r}"
+                )
             if s.model is not None and s.model.n_features != self.n_features:
                 raise ValueError(
                     f"surrogate model has {s.model.n_features} features, "
@@ -153,7 +158,6 @@ def fit_surrogate(
     dataset: Dataset,
     rows: np.ndarray,
     config: MlrFitConfig,
-    seed: int = 0,
     prediction_mode: str = "expectation",
 ) -> TreeSurrogate:
     """Fit the multinomial surrogate of one tree on its own training subsample.
@@ -169,7 +173,7 @@ def fit_surrogate(
             converged=True,
         )
     leaf_data = extract_leaf_dataset(tree, dataset, rows)
-    result = fit_mlr(leaf_data.features, leaf_data.labels, leaf_data.n_leaves, config, seed)
+    result = fit_mlr(leaf_data.features, leaf_data.labels, leaf_data.n_leaves, config)
     return TreeSurrogate(
         model=result.model,
         leaf_values=tree.leaf_values.copy(),
@@ -203,7 +207,6 @@ def squash_forest(
     dataset: Dataset,
     config: MlrFitConfig,
     prediction_mode: str = "expectation",
-    seed: int = 0,
     n_jobs: int | None = None,
 ) -> SurrogateForest:
     """Replace every tree in the forest with its fitted surrogate.
@@ -231,9 +234,7 @@ def squash_forest(
         row_ids = rederive_subsamples(forest)
 
     def squash_one(m: int) -> TreeSurrogate:
-        return fit_surrogate(
-            forest.trees[m], dataset, row_ids[m], config, seed, prediction_mode
-        )
+        return fit_surrogate(forest.trees[m], dataset, row_ids[m], config, prediction_mode)
 
     surrogates = _util.parallel_map(squash_one, range(forest.n_trees), n_jobs)
     return SurrogateForest(

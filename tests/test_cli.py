@@ -298,7 +298,7 @@ class TestBench:
             seed=6,
         )
         forest = fit_forest(parts.train, config)
-        sf = squash_forest(forest, parts.train, MlrFitConfig(l2_penalty=1e-4), seed=6)
+        sf = squash_forest(forest, parts.train, MlrFitConfig(l2_penalty=1e-4))
         forest_rmse = float(np.sqrt(np.mean(
             (forest_predict_batch(forest, parts.test.features) - parts.test.responses) ** 2
         )))

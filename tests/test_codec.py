@@ -1,5 +1,9 @@
 """Tests for the .rfsq binary format: round-trips, errors, size formulas."""
 
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,14 @@ def _random_forest(seed, n=120, depth=3, m=4, p_noise=1.0):
 def _random_surrogate(seed, **kwargs):
     ds, forest = _random_forest(seed, **kwargs)
     return squash_forest(forest, ds, MlrFitConfig(l2_penalty=1e-4))
+
+
+def _with_payload_byte(blob, offset, value):
+    """Set one payload byte (offset from the payload start) and re-seal the CRC."""
+    blob = bytearray(blob)
+    blob[16 + offset] = value
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+    return bytes(blob)
 
 
 def _manual_surrogate(k, p, mode="expectation", scale=1.0, m=1):
@@ -262,6 +274,32 @@ class TestDecodeErrors:
             expected.append(offset - 1)
         crc_positions = set(range(len(a) - 4, len(a)))
         assert set(diff_positions) - crc_positions == set(expected)
+
+    def test_self_loop_tree_rejected(self):
+        # A root whose left child points back at itself passes the CRC but
+        # would send traversal round forever.
+        _, forest = _random_forest(16)
+        assert forest.trees[0].n_internal > 0
+        left_of_root = 29 + 16 + 8 + 4 + 8  # config, header, counts, feature, threshold
+        blob = _with_payload_byte(encode(forest, "f64"), left_of_root, 0)
+        with pytest.raises(CodecError, match="malformed tree 0"):
+            decode(blob)
+
+    def test_mixed_prediction_modes_rejected(self):
+        sf = _random_surrogate(17)
+        first_mode_byte = SURROGATE_HEADER_BYTES + surrogate_tree_bytes(
+            sf.surrogates[0].n_leaves, sf.n_features, 8
+        ) - 1
+        blob = _with_payload_byte(encode(sf, "f64"), first_mode_byte, 0)  # argmax
+        with pytest.raises(CodecError, match="mix prediction modes"):
+            decode(blob)
+
+    def test_u32_overflow_rejected_at_encode(self):
+        _, forest = _random_forest(18)
+        config = dataclasses.replace(forest.config, subsample_size=2**32)
+        oversized = dataclasses.replace(forest, config=config, subsample_row_ids=None)
+        with pytest.raises(CodecError, match="unsigned"):
+            encode(oversized, "f64")
 
     def test_wrong_kind_flag(self):
         _, forest = _random_forest(15)

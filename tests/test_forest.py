@@ -261,6 +261,43 @@ class TestFitTree:
         assert sorted(tree.leaf_values.tolist()) == [1e8 + 2.0, 1e8 + 4.0]
 
 
+class TestTreeStructure:
+    # Three leaves: node 0 -> (node 1, leaf 2), node 1 -> (leaf 0, leaf 1);
+    # pointers to leaf j are stored as j + 2.
+    VALID = {"left": [1, 2], "right": [4, 3], "counts": [1, 1, 1]}
+
+    @staticmethod
+    def _tree(left, right, counts):
+        return DecisionTree(
+            split_features=np.zeros(2, dtype=np.int32),
+            split_thresholds=np.array([0.5, 0.25]),
+            children_left=np.array(left, dtype=np.int32),
+            children_right=np.array(right, dtype=np.int32),
+            leaf_values=np.array([1.0, 2.0, 3.0]),
+            leaf_counts=np.array(counts, dtype=np.int32),
+        )
+
+    def test_valid_tree_accepted(self):
+        tree = self._tree(**self.VALID)
+        assert traverse(tree, np.array([0.1])) == 0
+        assert traverse(tree, np.array([0.9])) == 2
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"left": [0, 2]}, "preorder"),  # self-loop at the root
+            ({"right": [4, 0]}, "preorder"),  # back edge to the root
+            ({"right": [5, 3]}, "below 2K-1"),  # past the last leaf
+            ({"right": [4, 2]}, "exactly once"),  # leaf 0 twice, leaf 1 never
+            ({"left": [1, 2, 3]}, "K-1"),  # one pointer too many
+            ({"counts": [1, -1, 1]}, "non-negative"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            self._tree(**{**self.VALID, **change})
+
+
 class TestTraverse:
     def test_left_on_below_threshold(self):
         tree = _stump(0.5, 2.0, 4.0)

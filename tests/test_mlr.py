@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from rfsquash.data import Dataset, gen_friedman1
 from rfsquash.errors import NumericError
+from rfsquash.forest import ForestConfig, fit_forest
 from rfsquash.mlr import (
     MlrFitConfig,
     MlrModel,
@@ -17,6 +20,7 @@ from rfsquash.mlr import (
     penalized_log_likelihood,
     predict_class,
 )
+from rfsquash.surrogate import extract_leaf_dataset
 
 
 def _random_model(rng, k, p, scale=1.0):
@@ -228,53 +232,68 @@ class TestFitMlr:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, size=40)
-        for optimizer in ("newton", "first_order"):
-            previous = -np.inf
-            for budget in range(1, 8):
-                result = fit_mlr(
-                    x,
-                    labels,
-                    3,
-                    MlrFitConfig(
-                        l2_penalty=0.01,
-                        max_iterations=budget,
-                        gradient_tolerance=1e-14,
-                        optimizer=optimizer,
-                    ),
-                )
-                value = penalized_log_likelihood(result.model, x, labels, 0.01)
-                assert value >= previous - 1e-12
-                previous = value
+        previous = -np.inf
+        for budget in range(1, 8):
+            result = fit_mlr(
+                x,
+                labels,
+                3,
+                MlrFitConfig(
+                    l2_penalty=0.01, max_iterations=budget, gradient_tolerance=1e-14
+                ),
+            )
+            value = penalized_log_likelihood(result.model, x, labels, 0.01)
+            assert value >= previous - 1e-12
+            previous = value
 
-    def test_strict_concavity_seed_independence(self):
+    def test_identical_fits_are_bit_equal(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(50, 2))
         labels = rng.integers(0, 4, size=50)
         config = MlrFitConfig(l2_penalty=0.05, gradient_tolerance=1e-9)
-        a = fit_mlr(x, labels, 4, config, seed=1)
-        b = fit_mlr(x, labels, 4, config, seed=999)
-        assert np.max(np.abs(_params_flat(a.model) - _params_flat(b.model))) < 1e-6
+        a = fit_mlr(x, labels, 4, config)
+        b = fit_mlr(x, labels, 4, config)
+        np.testing.assert_array_equal(_params_flat(a.model), _params_flat(b.model))
+        assert (a.iterations, a.grad_max_norm) == (b.iterations, b.grad_max_norm)
 
-    def test_newton_and_first_order_agree(self):
+    def test_matches_scipy_oracle(self):
+        # Independent oracle: scipy's BFGS on the public objective and
+        # gradient, sharing no optimizer code with the package.
         rng = np.random.default_rng(10)
         x = rng.normal(size=(60, 3))
         labels = rng.integers(0, 3, size=60)
-        newton = fit_mlr(
-            x, labels, 3,
-            MlrFitConfig(l2_penalty=0.01, gradient_tolerance=1e-9, optimizer="newton"),
+        lam = 0.01
+        oracle = minimize(
+            lambda v: -penalized_log_likelihood(_model_from_flat(v, 3, 3), x, labels, lam),
+            np.zeros(8),
+            jac=lambda v: -penalized_gradient(_model_from_flat(v, 3, 3), x, labels, lam),
+            method="BFGS",
+            options={"gtol": 1e-8},
         )
-        first = fit_mlr(
-            x, labels, 3,
-            MlrFitConfig(
-                l2_penalty=0.01,
-                gradient_tolerance=1e-9,
-                max_iterations=2000,
-                optimizer="first_order",
-            ),
+        assert oracle.success
+        result = fit_mlr(
+            x, labels, 3, MlrFitConfig(l2_penalty=lam, gradient_tolerance=1e-9)
         )
-        assert newton.optimizer_used == "newton"
-        assert first.optimizer_used == "first_order"
-        assert np.max(np.abs(_params_flat(newton.model) - _params_flat(first.model))) < 1e-6
+        assert result.converged and result.optimizer_used == "newton"
+        assert np.max(np.abs(_params_flat(result.model) - oracle.x)) < 1e-6
+
+    def test_converges_above_two_thousand_parameters(self):
+        # A depth-8 tree on Friedman #1 plus 20 noise columns routes to over
+        # 100 leaves, so its surrogate has more than 2000 parameters.
+        base = gen_friedman1(400, 1.0, seed=21)
+        noise = np.random.default_rng(22).uniform(size=(400, 20))
+        ds = Dataset(base.responses, np.hstack([base.features, noise]))
+        config = ForestConfig(
+            subsample_size=400, features_per_split=30, max_depth=8, n_trees=1,
+            min_leaf=2, seed=5,
+        )
+        forest = fit_forest(ds, config)
+        leaves = extract_leaf_dataset(forest.trees[0], ds, forest.subsample_row_ids[0])
+        active = np.count_nonzero(np.bincount(leaves.labels)[: leaves.n_leaves - 1])
+        assert active * (ds.n_features + 1) > 2000
+        result = fit_mlr(leaves.features, leaves.labels, leaves.n_leaves, MlrFitConfig())
+        assert result.converged
+        assert result.grad_max_norm <= MlrFitConfig().gradient_tolerance
 
     def test_binary_fit_matches_independent_logistic(self):
         # Independent oracle: Newton iteration on the sigmoid parameterization,
@@ -335,7 +354,7 @@ class TestFitMlr:
             MlrFitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             MlrFitConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one optimizer; there is nothing to pick
             MlrFitConfig(optimizer="sgd")
 
 

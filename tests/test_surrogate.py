@@ -225,6 +225,20 @@ class TestSurrogatePredict:
                 model=None, leaf_values=np.array([1.0]), prediction_mode="soft"
             )
 
+    def test_forest_rejects_mixed_modes(self):
+        surrogates = tuple(
+            TreeSurrogate(model=None, leaf_values=np.array([1.0]), prediction_mode=mode)
+            for mode in ("argmax", "expectation")
+        )
+        config = ForestConfig(
+            subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
+        )
+        with pytest.raises(ValueError, match="mode"):
+            SurrogateForest(
+                surrogates=surrogates, config=config, prediction_mode="argmax",
+                n_features=1,
+            )
+
 
 class TestSquashForest:
     def _forest(self, n=300, depth=2, m=3, seed=0):
