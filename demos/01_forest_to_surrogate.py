@@ -21,7 +21,7 @@ from rfsquash import (
     squash_forest,
     surrogate_forest_predict,
 )
-from rfsquash.forest import traverse_batch
+from rfsquash.forest import rederive_subsamples, traverse_batch
 from rfsquash.mlr import class_probability_matrix
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ print(f"forest: {forest.n_trees} trees, leaf counts "
 # ---------------------------------------------------------------------------
 
 tree = forest.trees[0]
-rows = forest.subsample_row_ids[0]
+rows = rederive_subsamples(forest)[0]  # the seeded draw tree 0 was fitted on
 leaf_data = extract_leaf_dataset(tree, data, rows)
 print(f"\ntree 0 has K={leaf_data.n_leaves} leaves; its subsample of "
       f"{len(rows)} rows splits into")

@@ -15,7 +15,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -27,6 +26,7 @@ from .errors import CodecError, DataError, NumericError
 from .forest import Forest, ForestConfig, fit_forest, forest_predict_batch
 from .mlr import MlrFitConfig
 from .surrogate import (
+    PREDICTION_MODES,
     SurrogateForest,
     squash_forest,
     surrogate_forest_predict_batch,
@@ -52,49 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-@dataclass
-class FitReport:
-    """Metrics bundle shared by the reporting commands."""
-
-    rmse: float | None = None
-    mae: float | None = None
-    model_bytes: int | None = None
-    train_seconds: float | None = None
-    squash_seconds: float | None = None
-    predict_seconds_per_1k: float | None = None
-    config: dict[str, Any] | None = None
-    leaf_count_histogram: dict[str, int] | None = None
-    surrogate_converged: list[bool] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("rmse", "mae"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.model_bytes is not None and self.model_bytes <= 0:
-            raise ValueError(f"model_bytes must be positive, got {self.model_bytes}")
-
-    def metrics_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.rmse is not None:
-            out["rmse"] = self.rmse
-        if self.mae is not None:
-            out["mae"] = self.mae
-        if self.model_bytes is not None:
-            out["model_bytes"] = self.model_bytes
-        return out
-
-    def timing_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.train_seconds is not None:
-            out["train_seconds"] = self.train_seconds
-        if self.squash_seconds is not None:
-            out["squash_seconds"] = self.squash_seconds
-        if self.predict_seconds_per_1k is not None:
-            out["predict_seconds_per_1k"] = self.predict_seconds_per_1k
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +176,23 @@ def _timed_predictions(
     return predictions, per_1k
 
 
-def _forest_config_from_args(args: argparse.Namespace, dataset: Dataset) -> ForestConfig:
-    n = args.n if args.n is not None else dataset.n_rows
-    k = args.k if args.k is not None else dataset.n_features
+def _forest_config(
+    args: argparse.Namespace, dataset: Dataset, depth: int, n_trees: int
+) -> ForestConfig:
     return ForestConfig(
-        subsample_size=n,
-        features_per_split=k,
-        max_depth=args.d,
-        n_trees=args.m,
+        subsample_size=args.n if args.n is not None else dataset.n_rows,
+        features_per_split=args.k if args.k is not None else dataset.n_features,
+        max_depth=depth,
+        n_trees=n_trees,
         min_leaf=args.min_leaf,
         leaf_summary=args.leaf_summary,
         seed=args.seed,
+    )
+
+
+def _fit_config(args: argparse.Namespace, l2: float) -> MlrFitConfig:
+    return MlrFitConfig(
+        l2_penalty=l2, max_iterations=args.max_iter, gradient_tolerance=args.tol
     )
 
 
@@ -299,32 +262,28 @@ def _text_lines(report: dict[str, Any], prefix: str = "") -> list[str]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset, descr = resolve_dataset(args.data, args.response, args.seed)
-    config = _forest_config_from_args(args, dataset)
+    config = _forest_config(args, dataset, args.d, args.m)
     t0 = time.perf_counter()
     forest = fit_forest(dataset, config, n_jobs=_util.thread_count())
     train_seconds = time.perf_counter() - t0
     blob = codec.encode(forest, args.float)
     Path(args.out).write_bytes(blob)
     predictions = forest_predict_batch(forest, dataset.features)
-    report = FitReport(
-        rmse=_rmse(predictions, dataset.responses),
-        mae=_mae(predictions, dataset.responses),
-        model_bytes=len(blob),
-        train_seconds=train_seconds,
-        config=_config_echo(config),
-        leaf_count_histogram=_leaf_histogram(forest),
-    )
     _emit(
         {
             "report_version": REPORT_VERSION,
             "command": "train",
             "dataset": descr,
-            "config": report.config,
+            "config": _config_echo(config),
             "float": args.float,
             "out": args.out,
-            "metrics": report.metrics_dict(),
-            "leaf_count_histogram": report.leaf_count_histogram,
-            "timing": report.timing_dict(),
+            "metrics": {
+                "rmse": _rmse(predictions, dataset.responses),
+                "mae": _mae(predictions, dataset.responses),
+                "model_bytes": len(blob),
+            },
+            "leaf_count_histogram": _leaf_histogram(forest),
+            "timing": {"train_seconds": train_seconds},
         },
         args.format,
     )
@@ -336,11 +295,7 @@ def cmd_squash(args: argparse.Namespace) -> int:
     if not isinstance(forest, Forest):
         raise DataError(f"{args.forest} holds a surrogate forest, not a tree forest")
     dataset, descr = resolve_dataset(args.data, args.response, forest.config.seed)
-    fit_config = MlrFitConfig(
-        l2_penalty=getattr(args, "l2"),
-        max_iterations=args.max_iter,
-        gradient_tolerance=args.tol,
-    )
+    fit_config = _fit_config(args, args.l2)
     t0 = time.perf_counter()
     sf = squash_forest(
         forest,
@@ -355,29 +310,22 @@ def cmd_squash(args: argparse.Namespace) -> int:
     bytes_before = codec.measure_size(forest, args.float)
     bytes_after = codec.measure_size(sf, args.float)
     converged = [s.converged for s in sf.surrogates]
-    report = FitReport(
-        model_bytes=len(blob),
-        squash_seconds=squash_seconds,
-        config=_config_echo(forest.config),
-        leaf_count_histogram=_leaf_histogram(sf),
-        surrogate_converged=converged,
-    )
     _emit(
         {
             "report_version": REPORT_VERSION,
             "command": "squash",
             "dataset": descr,
-            "config": report.config,
+            "config": _config_echo(forest.config),
             "fit": _mlr_echo(fit_config, args.mode),
             "float": args.float,
             "out": args.out,
             "bytes_before": bytes_before,
             "bytes_after": bytes_after,
             "compression_ratio": bytes_after / bytes_before,
-            "leaf_count_histogram": report.leaf_count_histogram,
+            "leaf_count_histogram": _leaf_histogram(sf),
             "surrogates_converged": sum(converged),
             "surrogates_total": len(converged),
-            "timing": report.timing_dict(),
+            "timing": {"squash_seconds": squash_seconds},
         },
         args.format,
     )
@@ -396,13 +344,9 @@ def _load_features(path: str, response: str, expected_p: int) -> np.ndarray:
     return values
 
 
-def _model_feature_count(model: Forest | SurrogateForest) -> int:
-    return model.n_features
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     model = _read_model_file(args.model)
-    features = _load_features(args.data, args.response, _model_feature_count(model))
+    features = _load_features(args.data, args.response, model.n_features)
     predictions = _model_predict_batch(model, features)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -421,21 +365,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = _read_model_file(args.model)
     dataset = load_csv(args.data, args.response)
-    if dataset.n_features != _model_feature_count(model):
+    if dataset.n_features != model.n_features:
         raise DataError(
-            f"model expects {_model_feature_count(model)} features, "
+            f"model expects {model.n_features} features, "
             f"{args.data} provides {dataset.n_features}"
         )
     predictions, per_1k = _timed_predictions(model, dataset.features)
     kind = "forest" if isinstance(model, Forest) else "surrogate_forest"
-    report = FitReport(
-        rmse=_rmse(predictions, dataset.responses),
-        mae=_mae(predictions, dataset.responses),
-        model_bytes=Path(args.model).stat().st_size,
-        predict_seconds_per_1k=per_1k,
-        config=_config_echo(model.config),
-        leaf_count_histogram=_leaf_histogram(model),
-    )
     _emit(
         {
             "report_version": REPORT_VERSION,
@@ -443,10 +379,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "model": args.model,
             "model_kind": kind,
             "dataset": {"source": "csv", "path": args.data, "response_column": args.response},
-            "config": report.config,
-            "metrics": report.metrics_dict(),
-            "leaf_count_histogram": report.leaf_count_histogram,
-            "timing": report.timing_dict(),
+            "config": _config_echo(model.config),
+            "metrics": {
+                "rmse": _rmse(predictions, dataset.responses),
+                "mae": _mae(predictions, dataset.responses),
+                "model_bytes": Path(args.model).stat().st_size,
+            },
+            "leaf_count_histogram": _leaf_histogram(model),
+            "timing": {"predict_seconds_per_1k": per_1k},
         },
         args.format,
     )
@@ -484,10 +424,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     modes = _split_list(args.mode, str, "--mode")
     widths = _split_list(args.float, str, "--float")
     for mode in modes:
-        if mode not in ("argmax", "expectation"):
+        if mode not in PREDICTION_MODES:
             raise UsageError(f"bad --mode value {mode!r}")
     for width in widths:
-        if width not in ("f64", "f32"):
+        if width not in codec.FLOAT_WIDTHS:
             raise UsageError(f"bad --float value {width!r}")
 
     grid = list(itertools.product(depths, tree_counts, lambdas, modes, widths))
@@ -500,17 +440,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             key = (depth, n_trees)
             if key not in forests:
-                config = ForestConfig(
-                    subsample_size=args.n if args.n is not None else train.n_rows,
-                    features_per_split=(
-                        args.k if args.k is not None else train.n_features
-                    ),
-                    max_depth=depth,
-                    n_trees=n_trees,
-                    min_leaf=args.min_leaf,
-                    leaf_summary=args.leaf_summary,
-                    seed=args.seed,
-                )
+                config = _forest_config(args, train, depth, n_trees)
                 t0 = time.perf_counter()
                 forest = fit_forest(train, config, n_jobs=_util.thread_count())
                 forests[key] = (forest, time.perf_counter() - t0)
@@ -518,16 +448,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
             skey = (depth, n_trees, lam)
             if skey not in squashed:
-                fit_config = MlrFitConfig(
-                    l2_penalty=lam,
-                    max_iterations=args.max_iter,
-                    gradient_tolerance=args.tol,
-                )
                 t0 = time.perf_counter()
                 fitted = squash_forest(
                     forest,
                     train,
-                    fit_config,
+                    _fit_config(args, lam),
                     prediction_mode=mode,
                     n_jobs=_util.thread_count(),
                 )
@@ -600,30 +525,14 @@ def _bench_table(rows: list[dict[str, Any]]) -> str:
     table = [columns]
     for row in rows:
         cell = row["cell"]
+        shared = [str(cell["d"]), str(cell["m"]), f"{cell['lambda']:g}",
+                  cell["mode"], cell["float"], row["kind"]]
         if "error" in row:
-            table.append(
-                [
-                    str(cell["d"]),
-                    str(cell["m"]),
-                    f"{cell['lambda']:g}",
-                    cell["mode"],
-                    cell["float"],
-                    row["kind"],
-                    "error: " + row["error"],
-                    "",
-                    "",
-                    "",
-                ]
-            )
+            table.append(shared + ["error: " + row["error"], "", "", ""])
             continue
         table.append(
-            [
-                str(cell["d"]),
-                str(cell["m"]),
-                f"{cell['lambda']:g}",
-                cell["mode"],
-                cell["float"],
-                row["kind"],
+            shared
+            + [
                 f"{row['rmse']:.4f}",
                 f"{row['mae']:.4f}",
                 str(row["bytes"]),
@@ -688,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--d", type=int, default=5, help="maximum tree depth")
     train.add_argument("--m", type=int, default=50, help="number of trees")
     _add_forest_flags(train)
-    train.add_argument("--float", choices=("f64", "f32"), default="f64", help="stored float width")
+    train.add_argument("--float", choices=tuple(codec.FLOAT_WIDTHS), default="f64",
+                       help="stored float width")
     _add_common(train)
     train.set_defaults(func=cmd_train)
 
@@ -700,9 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     squash.add_argument("--out", required=True, help="output .rfsq path")
     squash.add_argument("--response", default="y", help="response column name for CSV input")
     _add_mlr_flags(squash)
-    squash.add_argument("--mode", choices=("argmax", "expectation"), default="expectation",
+    squash.add_argument("--mode", choices=PREDICTION_MODES, default="expectation",
                         help="surrogate prediction mode")
-    squash.add_argument("--float", choices=("f64", "f32"), default="f64", help="stored float width")
+    squash.add_argument("--float", choices=tuple(codec.FLOAT_WIDTHS), default="f64",
+                        help="stored float width")
     _add_common(squash)
     squash.set_defaults(func=cmd_squash)
 

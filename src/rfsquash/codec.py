@@ -62,17 +62,34 @@ def _float_dtype(width: int) -> np.dtype:
     return np.dtype("<f8" if width == 8 else "<f4")
 
 
-def _pack_floats(values: np.ndarray, width: int) -> bytes:
-    values = np.ascontiguousarray(values, dtype=np.float64)
+def _node_dtype(width: int) -> np.dtype:
+    """One internal-node record, packed as docs/format.md lays it out."""
+    return np.dtype(
+        [
+            ("feature", "<u4"),
+            ("threshold", _float_dtype(width)),
+            ("left", "<u4"),
+            ("right", "<u4"),
+        ]
+    )
+
+
+def _narrow(values: np.ndarray, width: int) -> np.ndarray:
+    """Values at the stored float width; float32 overflow is an error."""
+    values = np.asarray(values, dtype=np.float64)
     if width == 8:
-        return values.astype("<f8").tobytes()
+        return values
     with np.errstate(over="ignore"):
         narrowed = values.astype("<f4")
     if not np.all(np.isfinite(narrowed)):
         raise NumericError(
             "value overflows float32 range; encode with float width f64"
         )
-    return narrowed.tobytes()
+    return narrowed
+
+
+def _pack_floats(values: np.ndarray, width: int) -> bytes:
+    return _narrow(values, width).astype(_float_dtype(width), copy=False).tobytes()
 
 
 class _Cursor:
@@ -124,18 +141,15 @@ def _decode_config(cur: _Cursor) -> ForestConfig:
     )
     if summary not in _LEAF_SUMMARY_NAME:
         raise CodecError(f"unknown leaf-summary code {summary}")
-    try:
-        return ForestConfig(
-            subsample_size=n,
-            features_per_split=k,
-            max_depth=d,
-            n_trees=m,
-            min_leaf=min_leaf,
-            leaf_summary=_LEAF_SUMMARY_NAME[summary],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CodecError(f"stored config is invalid: {exc}") from None
+    return ForestConfig(
+        subsample_size=n,
+        features_per_split=k,
+        max_depth=d,
+        n_trees=m,
+        min_leaf=min_leaf,
+        leaf_summary=_LEAF_SUMMARY_NAME[summary],
+        seed=seed,
+    )
 
 
 def _encode_forest_payload(forest: Forest, width: int) -> bytes:
@@ -145,12 +159,12 @@ def _encode_forest_payload(forest: Forest, width: int) -> bytes:
     out += struct.pack("<IIQ", p, forest.dataset_rows, forest.dataset_fingerprint)
     for tree in forest.trees:
         out += struct.pack("<II", tree.n_internal, tree.n_leaves)
-        for i in range(tree.n_internal):
-            out += struct.pack("<I", int(tree.split_features[i]))
-            out += _pack_floats(tree.split_thresholds[i : i + 1], width)
-            out += struct.pack(
-                "<II", int(tree.children_left[i]), int(tree.children_right[i])
-            )
+        nodes = np.empty(tree.n_internal, dtype=_node_dtype(width))
+        nodes["feature"] = tree.split_features
+        nodes["threshold"] = _narrow(tree.split_thresholds, width)
+        nodes["left"] = tree.children_left
+        nodes["right"] = tree.children_right
+        out += nodes.tobytes()
         out += _pack_floats(tree.leaf_values, width)
         out += np.ascontiguousarray(tree.leaf_counts, dtype="<u4").tobytes()
     return bytes(out)
@@ -160,14 +174,7 @@ def _decode_forest_payload(cur: _Cursor) -> Forest:
     config = _decode_config(cur)
     p, dataset_rows, fingerprint = struct.unpack("<IIQ", cur.take(16))
     width = cur.width
-    node = np.dtype(  # one node record, packed as docs/format.md lays it out
-        [
-            ("feature", "<u4"),
-            ("threshold", _float_dtype(width)),
-            ("left", "<u4"),
-            ("right", "<u4"),
-        ]
-    )
+    node = _node_dtype(width)
     trees = []
     for _ in range(config.n_trees):
         n_internal, n_leaves = struct.unpack("<II", cur.take(8))
@@ -196,7 +203,6 @@ def _decode_forest_payload(cur: _Cursor) -> Forest:
         dataset_rows=dataset_rows,
         dataset_fingerprint=fingerprint,
         n_features=p,
-        subsample_row_ids=None,
     )
 
 
@@ -310,13 +316,17 @@ def decode(data: bytes) -> Forest | SurrogateForest:
     (stored_crc,) = struct.unpack("<I", data[16 + payload_len :])
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumMismatchError("payload CRC-32 does not match stored checksum")
-    cur = _Cursor(payload, width)
     if kind == KIND_FOREST:
-        model = _decode_forest_payload(cur)
+        decode_payload = _decode_forest_payload
     elif kind == KIND_SURROGATE:
-        model = _decode_surrogate_payload(cur)
+        decode_payload = _decode_surrogate_payload
     else:
         raise CodecError(f"unknown model kind {kind}")
+    cur = _Cursor(payload, width)
+    try:
+        model = decode_payload(cur)
+    except ValueError as exc:  # a field the model's own checks reject
+        raise CodecError(f"stored model is invalid: {exc}") from None
     if not cur.done():
         raise CodecError(f"{len(payload) - cur.pos} unread bytes inside payload")
     return model

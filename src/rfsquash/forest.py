@@ -8,8 +8,7 @@ improves on the parent. The left branch takes x <= threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +117,8 @@ class DecisionTree:
                 raise ValueError(f"{name} must have K-1 = {k - 1} entries")
         if self.leaf_counts.shape != (k,) or self.leaf_counts.min() < 0:
             raise ValueError(f"leaf_counts must be K = {k} non-negative counts")
+        if self.split_features.min(initial=0) < 0:
+            raise ValueError("split features must be non-negative column indices")
         # Preorder and in range: node i's pointers lie in (i, 2K-2]. The 2K-2
         # pointers then reference every slot 1..2K-2 exactly once iff no slot
         # is referenced twice.
@@ -145,11 +146,12 @@ class DecisionTree:
 
 @dataclass(frozen=True)
 class Forest:
-    """A fitted ensemble: M trees plus the training-time subsample record.
+    """A fitted ensemble: M trees plus what is needed to trace them back to
+    their training data.
 
-    ``subsample_row_ids`` is None for forests reconstructed from a serialized
-    file; it can be re-derived from (config, dataset_rows) because
-    subsampling is a pure function of the seed.
+    The rows each tree was fitted on are not stored: subsampling is a pure
+    function of (config, dataset_rows), so :func:`rederive_subsamples`
+    recomputes them. Every split feature is below ``n_features``.
     """
 
     trees: tuple[DecisionTree, ...]
@@ -157,7 +159,6 @@ class Forest:
     dataset_rows: int
     dataset_fingerprint: int
     n_features: int
-    subsample_row_ids: Optional[tuple[np.ndarray, ...]] = field(default=None)
 
     def __post_init__(self) -> None:
         if len(self.trees) != self.config.n_trees:
@@ -166,10 +167,12 @@ class Forest:
             )
         if self.n_features < 1:
             raise ValueError("forest must record a positive feature count")
-        if self.subsample_row_ids is not None:
-            for rows in self.subsample_row_ids:
-                if len(np.unique(rows)) != self.config.subsample_size:
-                    raise ValueError("subsample rows must be distinct, size n")
+        top = np.concatenate([t.split_features for t in self.trees]).max(initial=0)
+        if top >= self.n_features:
+            raise ValueError(
+                f"a tree splits feature {int(top)} of a forest with "
+                f"{self.n_features} features"
+            )
 
     @property
     def n_trees(self) -> int:
@@ -380,24 +383,24 @@ def fit_forest(
     """
     config.validate_against(dataset)
 
-    def fit_one(m: int) -> tuple[DecisionTree, np.ndarray]:
+    def fit_one(m: int) -> DecisionTree:
         rows = subsample(dataset, config.subsample_size, config.seed, m)
         tree_seed = _util.derive_seed(config.seed, m, _util.TREE_STREAM)
-        return fit_tree(dataset, rows, config, tree_seed), rows
+        return fit_tree(dataset, rows, config, tree_seed)
 
-    fitted = _util.parallel_map(fit_one, range(config.n_trees), n_jobs)
+    trees = _util.parallel_map(fit_one, range(config.n_trees), n_jobs)
     return Forest(
-        trees=tuple(t for t, _ in fitted),
+        trees=tuple(trees),
         config=config,
         dataset_rows=dataset.n_rows,
         dataset_fingerprint=dataset.fingerprint(),
         n_features=dataset.n_features,
-        subsample_row_ids=tuple(rows for _, rows in fitted),
     )
 
 
 def rederive_subsamples(forest: Forest) -> tuple[np.ndarray, ...]:
-    """Reconstruct each tree's training rows from the seeded draw."""
+    """Each tree's training rows, recomputed from the seeded draw that
+    :func:`fit_forest` made."""
     cfg = forest.config
     return tuple(
         subsample_indices(forest.dataset_rows, cfg.subsample_size, cfg.seed, m)

@@ -17,7 +17,7 @@ Two prediction modes realize the surrogate forecast:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,14 +26,7 @@ from . import _util
 from .data import Dataset
 from .errors import DataError
 from .forest import DecisionTree, Forest, ForestConfig, rederive_subsamples, traverse_batch
-from .mlr import (
-    MlrFitConfig,
-    MlrModel,
-    class_probabilities,
-    class_probability_matrix,
-    fit_mlr,
-    predict_class,
-)
+from .mlr import MlrFitConfig, MlrModel, class_probability_matrix, fit_mlr
 
 PREDICTION_MODES = ("argmax", "expectation")
 
@@ -183,13 +176,8 @@ def fit_surrogate(
 
 
 def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray) -> float:
-    """Forecast of one surrogate at x, per its prediction mode."""
-    if surrogate.model is None:
-        return float(surrogate.leaf_values[0])
-    if surrogate.prediction_mode == "argmax":
-        return float(surrogate.leaf_values[predict_class(surrogate.model, x)])
-    probs = class_probabilities(surrogate.model, x)
-    return float(probs @ surrogate.leaf_values)
+    """Forecast of one surrogate at one feature vector x, per its prediction mode."""
+    return float(surrogate_predict_batch(surrogate, x)[0])
 
 
 def surrogate_predict_batch(surrogate: TreeSurrogate, x: np.ndarray) -> np.ndarray:
@@ -211,11 +199,10 @@ def squash_forest(
 ) -> SurrogateForest:
     """Replace every tree in the forest with its fitted surrogate.
 
-    Each surrogate is fitted independently on the subsample its tree saw.
-    When the forest was reloaded from a file (no stored row ids), the
-    subsamples are re-derived from the seeded draw; the dataset must then be
-    the original training data, which is checked against the stored
-    fingerprint.
+    Each surrogate is fitted independently on the subsample its tree saw,
+    re-derived from the forest's seeded draw. The dataset must therefore be
+    the original training data, which is checked against the stored row
+    count and fingerprint.
     """
     if prediction_mode not in PREDICTION_MODES:
         raise ValueError(f"bad prediction_mode {prediction_mode!r}")
@@ -229,9 +216,7 @@ def squash_forest(
             "dataset fingerprint mismatch: this is not the data the forest "
             "was trained on"
         )
-    row_ids = forest.subsample_row_ids
-    if row_ids is None:
-        row_ids = rederive_subsamples(forest)
+    row_ids = rederive_subsamples(forest)
 
     def squash_one(m: int) -> TreeSurrogate:
         return fit_surrogate(forest.trees[m], dataset, row_ids[m], config, prediction_mode)
@@ -251,31 +236,22 @@ def with_prediction_mode(sf: SurrogateForest, mode: str) -> SurrogateForest:
     Mode only affects how fitted probabilities turn into forecasts, so no
     refitting happens; the fitted models are shared.
     """
-    if sf.prediction_mode == mode:
-        return sf
-    return SurrogateForest(
-        surrogates=tuple(
-            TreeSurrogate(
-                model=s.model,
-                leaf_values=s.leaf_values,
-                prediction_mode=mode,
-                converged=s.converged,
-            )
-            for s in sf.surrogates
-        ),
-        config=sf.config,
+    return replace(
+        sf,
+        surrogates=tuple(replace(s, prediction_mode=mode) for s in sf.surrogates),
         prediction_mode=mode,
-        n_features=sf.n_features,
     )
 
 
 def surrogate_forest_predict(sf: SurrogateForest, x: np.ndarray) -> float:
-    """Squashed-ensemble forecast: mean of the per-surrogate predictions."""
-    per_tree = np.array([surrogate_predict(s, x) for s in sf.surrogates])
-    return float(np.mean(per_tree))
+    """Squashed-ensemble forecast at one feature vector x: mean of the
+    per-surrogate predictions."""
+    return float(surrogate_forest_predict_batch(sf, x)[0])
 
 
 def surrogate_forest_predict_batch(sf: SurrogateForest, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    stacked = np.stack([surrogate_predict_batch(s, x) for s in sf.surrogates])
+    # the same (M, N) matrix as np.stack, with less per-array overhead, which
+    # is most of the cost of a single-row call
+    stacked = np.array([surrogate_predict_batch(s, x) for s in sf.surrogates])
     return np.mean(stacked, axis=0)

@@ -1,14 +1,19 @@
 """Tests for the .rfsq binary format: round-trips, errors, size formulas."""
 
 import dataclasses
+import functools
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfsquash.cli import _model_predict_batch
 from rfsquash.codec import (
     ENVELOPE_BYTES,
+    FOREST_HEADER_BYTES,
     SURROGATE_HEADER_BYTES,
     decode,
     encode,
@@ -49,12 +54,16 @@ def _random_surrogate(seed, **kwargs):
     return squash_forest(forest, ds, MlrFitConfig(l2_penalty=1e-4))
 
 
-def _with_payload_byte(blob, offset, value):
-    """Set one payload byte (offset from the payload start) and re-seal the CRC."""
+def _with_payload_bytes(blob, offset, data):
+    """Overwrite payload bytes (offset from the payload start) and re-seal the CRC."""
     blob = bytearray(blob)
-    blob[16 + offset] = value
+    blob[16 + offset : 16 + offset + len(data)] = data
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
     return bytes(blob)
+
+
+def _with_payload_byte(blob, offset, value):
+    return _with_payload_bytes(blob, offset, bytes([value]))
 
 
 def _manual_surrogate(k, p, mode="expectation", scale=1.0, m=1):
@@ -136,7 +145,6 @@ class TestRoundTrip:
         assert restored.config == forest.config
         assert restored.dataset_rows == forest.dataset_rows
         assert restored.dataset_fingerprint == forest.dataset_fingerprint
-        assert restored.subsample_row_ids is None
 
     def test_f32_narrowing_error_bound(self):
         sf = _random_surrogate(6)
@@ -297,9 +305,38 @@ class TestDecodeErrors:
     def test_u32_overflow_rejected_at_encode(self):
         _, forest = _random_forest(18)
         config = dataclasses.replace(forest.config, subsample_size=2**32)
-        oversized = dataclasses.replace(forest, config=config, subsample_row_ids=None)
+        oversized = dataclasses.replace(forest, config=config)
         with pytest.raises(CodecError, match="unsigned"):
             encode(oversized, "f64")
+
+    def test_zero_feature_forest_rejected(self):
+        _, forest = _random_forest(19)
+        p_field = FOREST_HEADER_BYTES - 16  # p follows the config block
+        blob = _with_payload_bytes(encode(forest, "f64"), p_field, struct.pack("<I", 0))
+        with pytest.raises(CodecError, match="feature count"):
+            decode(blob)
+
+    def test_nan_surrogate_parameter_rejected(self):
+        sf = _random_surrogate(20)
+        assert sf.surrogates[0].model is not None
+        first_intercept = SURROGATE_HEADER_BYTES + 4  # after tree 0's K
+        blob = _with_payload_bytes(
+            encode(sf, "f64"), first_intercept, struct.pack("<d", float("nan"))
+        )
+        with pytest.raises(CodecError, match="finite"):
+            decode(blob)
+
+    def test_split_feature_out_of_range_rejected(self):
+        # Feature index p names no column, so no row of p features could be
+        # routed through this tree.
+        _, forest = _random_forest(21)
+        assert forest.trees[0].n_internal > 0
+        root_feature = FOREST_HEADER_BYTES + 8  # after tree 0's node/leaf counts
+        blob = _with_payload_bytes(
+            encode(forest, "f64"), root_feature, struct.pack("<I", forest.n_features)
+        )
+        with pytest.raises(CodecError, match="splits feature"):
+            decode(blob)
 
     def test_wrong_kind_flag(self):
         _, forest = _random_forest(15)
@@ -313,3 +350,41 @@ class TestDecodeErrors:
             encode(object(), "f64")
         with pytest.raises(ValueError, match="float_width"):
             encode(_manual_surrogate(2, 1), "f16")
+
+
+@functools.cache
+def _fuzz_seed_blob(kind):
+    """A small valid file of each kind; f64 forest, f32 surrogate."""
+    if kind == "forest":
+        return encode(_random_forest(40, n=40, depth=2, m=2)[1], "f64")
+    return encode(_random_surrogate(41, n=40, depth=2, m=2), "f32")
+
+
+# A file may validly declare any feature count; probes wider than this are
+# not built, so such files are only decoded.
+_FUZZ_MAX_FEATURES = 64
+
+
+@pytest.mark.parametrize("kind", ["forest", "surrogate"])
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=4
+    )
+)
+def test_mutated_payload_decodes_to_a_usable_model_or_fails(kind, edits):
+    """Any CRC-valid byte mutation either raises CodecError or decodes to a
+    model whose batch prediction returns."""
+    blob = _fuzz_seed_blob(kind)
+    payload_len = len(blob) - ENVELOPE_BYTES
+    for offset, value in edits:
+        blob = _with_payload_byte(blob, offset % payload_len, value)
+    try:
+        model = decode(blob)
+    except CodecError:
+        return
+    if model.n_features > _FUZZ_MAX_FEATURES:
+        return
+    probe = np.random.default_rng(0).uniform(-0.5, 1.5, size=(16, model.n_features))
+    with np.errstate(all="ignore"):  # mutated floats may overflow to inf or nan
+        assert _model_predict_batch(model, probe).shape == (16,)

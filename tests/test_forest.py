@@ -12,6 +12,7 @@ from rfsquash.forest import (
     fit_tree,
     forest_predict,
     forest_predict_batch,
+    rederive_subsamples,
     subsample,
     traverse,
     traverse_batch,
@@ -264,12 +265,12 @@ class TestFitTree:
 class TestTreeStructure:
     # Three leaves: node 0 -> (node 1, leaf 2), node 1 -> (leaf 0, leaf 1);
     # pointers to leaf j are stored as j + 2.
-    VALID = {"left": [1, 2], "right": [4, 3], "counts": [1, 1, 1]}
+    VALID = {"features": [0, 0], "left": [1, 2], "right": [4, 3], "counts": [1, 1, 1]}
 
     @staticmethod
-    def _tree(left, right, counts):
+    def _tree(features, left, right, counts):
         return DecisionTree(
-            split_features=np.zeros(2, dtype=np.int32),
+            split_features=np.array(features, dtype=np.int32),
             split_thresholds=np.array([0.5, 0.25]),
             children_left=np.array(left, dtype=np.int32),
             children_right=np.array(right, dtype=np.int32),
@@ -291,11 +292,23 @@ class TestTreeStructure:
             ({"right": [4, 2]}, "exactly once"),  # leaf 0 twice, leaf 1 never
             ({"left": [1, 2, 3]}, "K-1"),  # one pointer too many
             ({"counts": [1, -1, 1]}, "non-negative"),
+            ({"features": [0, -1]}, "non-negative column"),
         ],
     )
     def test_malformed_tree_rejected(self, change, match):
         with pytest.raises(ValueError, match=match):
             self._tree(**{**self.VALID, **change})
+
+    def test_forest_rejects_split_feature_past_p(self):
+        tree = self._tree(**{**self.VALID, "features": [0, 1]})
+        config = ForestConfig(
+            subsample_size=3, features_per_split=1, max_depth=2, n_trees=1
+        )
+        with pytest.raises(ValueError, match="splits feature 1"):
+            Forest(
+                trees=(tree,), config=config, dataset_rows=3,
+                dataset_fingerprint=0, n_features=1,
+            )
 
 
 class TestTraverse:
@@ -379,7 +392,7 @@ class TestFitForest:
             np.testing.assert_array_equal(ta.split_features, tb.split_features)
             np.testing.assert_array_equal(ta.split_thresholds, tb.split_thresholds)
             np.testing.assert_array_equal(ta.leaf_values, tb.leaf_values)
-        for ra, rb in zip(a.subsample_row_ids, b.subsample_row_ids):
+        for ra, rb in zip(rederive_subsamples(a), rederive_subsamples(b)):
             np.testing.assert_array_equal(ra, rb)
 
     def test_thread_count_does_not_change_result(self):

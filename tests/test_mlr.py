@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from rfsquash.data import Dataset, gen_friedman1
 from rfsquash.errors import NumericError
-from rfsquash.forest import ForestConfig, fit_forest
+from rfsquash.forest import ForestConfig, fit_forest, rederive_subsamples
 from rfsquash.mlr import (
     MlrFitConfig,
     MlrModel,
@@ -288,7 +288,7 @@ class TestFitMlr:
             min_leaf=2, seed=5,
         )
         forest = fit_forest(ds, config)
-        leaves = extract_leaf_dataset(forest.trees[0], ds, forest.subsample_row_ids[0])
+        leaves = extract_leaf_dataset(forest.trees[0], ds, rederive_subsamples(forest)[0])
         active = np.count_nonzero(np.bincount(leaves.labels)[: leaves.n_leaves - 1])
         assert active * (ds.n_features + 1) > 2000
         result = fit_mlr(leaves.features, leaves.labels, leaves.n_leaves, MlrFitConfig())

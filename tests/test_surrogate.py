@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from rfsquash.codec import decode, encode
 from rfsquash.data import gen_axis_partition, gen_friedman1
 from rfsquash.errors import DataError
 from rfsquash.forest import (
-    Forest,
     ForestConfig,
     fit_forest,
     fit_tree,
@@ -298,18 +298,10 @@ class TestSquashForest:
         with pytest.raises(DataError, match="rows"):
             squash_forest(forest, other, MlrFitConfig())
 
-    def test_rederives_subsamples_when_missing(self):
+    def test_decoded_forest_squashes_identically(self):
         ds, forest = self._forest(m=3)
-        stripped = Forest(
-            trees=forest.trees,
-            config=forest.config,
-            dataset_rows=forest.dataset_rows,
-            dataset_fingerprint=forest.dataset_fingerprint,
-            n_features=forest.n_features,
-            subsample_row_ids=None,
-        )
         direct = squash_forest(forest, ds, MlrFitConfig())
-        derived = squash_forest(stripped, ds, MlrFitConfig())
+        derived = squash_forest(decode(encode(forest)), ds, MlrFitConfig())
         for sa, sb in zip(direct.surrogates, derived.surrogates):
             np.testing.assert_array_equal(sa.model.intercepts, sb.model.intercepts)
             np.testing.assert_array_equal(sa.model.coefficients, sb.model.coefficients)
