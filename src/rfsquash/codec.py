@@ -324,7 +324,10 @@ def decode(data: bytes) -> Forest | SurrogateForest:
         raise CodecError(f"unknown model kind {kind}")
     cur = _Cursor(payload, width)
     try:
-        model = decode_payload(cur)
+        # widening an f32 signalling NaN warns; the model's own finiteness
+        # checks reject it. One errstate per decode, not one per array.
+        with np.errstate(invalid="ignore"):
+            model = decode_payload(cur)
     except ValueError as exc:  # a field the model's own checks reject
         raise CodecError(f"stored model is invalid: {exc}") from None
     if not cur.done():

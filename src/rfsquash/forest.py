@@ -410,11 +410,20 @@ def rederive_subsamples(forest: Forest) -> tuple[np.ndarray, ...]:
 
 def forest_predict(forest: Forest, x: np.ndarray) -> float:
     """Ensemble forecast: arithmetic mean of the per-tree predictions."""
+    # Trees check only the features they split on, so a stump forest, or one
+    # that never splits the last column, would take rows of the wrong width.
+    # len() is the cheapest such test on this per-row path.
+    if len(x) != forest.n_features:
+        raise ValueError(f"input has {len(x)} features, forest expects {forest.n_features}")
     per_tree = np.array([tree_predict(t, x) for t in forest.trees])
     return float(np.mean(per_tree))
 
 
 def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != forest.n_features:
+        raise ValueError(
+            f"input has {x.shape[1]} features, forest expects {forest.n_features}"
+        )
     stacked = np.stack([tree_predict_batch(t, x) for t in forest.trees])
     return np.mean(stacked, axis=0)

@@ -158,14 +158,37 @@ def _logit_matrix(model: MlrModel, x: np.ndarray) -> np.ndarray:
             f"input has {x.shape[1]} features, model expects {model.n_features}"
         )
     logits = np.zeros((x.shape[0], model.n_categories))
-    logits[:, :-1] = model.intercepts + x @ model.coefficients.T
+    with np.errstate(over="ignore", invalid="ignore"):  # _softmax handles inf/NaN
+        logits[:, :-1] = model.intercepts + x @ model.coefficients.T
+    return logits
+
+
+def _shifted_exp(logits: np.ndarray, axis: int) -> np.ndarray:
+    """The softmax numerators exp(logits - max over ``axis``), computed in
+    place in ``logits`` and returned.
+
+    Where the top logit is +inf, the +inf entries get 1 and the rest 0, so
+    normalizing shares the probability evenly among them, which is the limit
+    of the softmax as they grow. A NaN logit raises NumericError. Every
+    caller has a base logit of zero, so the top logit is never -inf.
+    """
+    top = logits.max(axis=axis, keepdims=True)
+    if not np.isfinite(top).all():
+        if np.isnan(top).any():
+            raise NumericError("a logit is NaN: the features or parameters overflowed")
+        hot = top == np.inf
+        logits[...] = np.where(hot, np.where(logits == np.inf, 0.0, -np.inf), logits)
+        top[hot] = 0.0
+    logits -= top
+    np.exp(logits, out=logits)
     return logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of an (N, K) logit matrix, in place."""
+    e = _shifted_exp(logits, axis=1)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def class_probabilities(model: MlrModel, x: np.ndarray) -> np.ndarray:

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from rfsquash import cli
-from rfsquash.codec import decode, measure_size
+from rfsquash.codec import decode, encode, measure_size
 from rfsquash.data import gen_axis_partition, gen_friedman1, split, write_csv
 from rfsquash.forest import ForestConfig, fit_forest, forest_predict_batch
-from rfsquash.mlr import MlrFitConfig
-from rfsquash.surrogate import squash_forest, surrogate_forest_predict_batch
+from rfsquash.mlr import MlrFitConfig, MlrModel
+from rfsquash.surrogate import (
+    SurrogateForest,
+    TreeSurrogate,
+    squash_forest,
+    surrogate_forest_predict_batch,
+)
 
 AXIS_SPEC = "axis:n=400,thresholds=0:0.5,values=2;4"
 
@@ -253,6 +258,27 @@ class TestEvaluateAndPredict:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "prediction"
         assert len(lines) == 11
+
+    def test_overflowing_logit_predicts_its_leaf(self, capsys, tmp_path):
+        # A valid file whose linear predictor overflows at x = +-1e10 used to
+        # print nan with exit 0; the +inf leaf takes the row.
+        surrogate = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1e300]])),
+            leaf_values=np.array([1.0, 2.0]),
+            prediction_mode="expectation",
+        )
+        config = ForestConfig(
+            subsample_size=1, features_per_split=1, max_depth=1, n_trees=1
+        )
+        model_path = tmp_path / "s.rfsq"
+        model_path.write_bytes(encode(SurrogateForest(
+            surrogates=(surrogate,), config=config, prediction_mode="expectation",
+            n_features=1,
+        )))
+        probe_csv = tmp_path / "probe.csv"
+        probe_csv.write_text("x1\n1e10\n-1e10\n")
+        report = run_json(capsys, "predict", str(model_path), str(probe_csv))
+        assert report["predictions"] == [1.0, 2.0]
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "evaluate", str(tmp_path / "none.rfsq"),

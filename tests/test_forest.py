@@ -468,6 +468,23 @@ class TestForestPredict:
         scalar = np.array([forest_predict(forest, row) for row in ds.features])
         np.testing.assert_allclose(batch, scalar, atol=0, rtol=0)
 
+    def test_rejects_wrong_width(self):
+        # Trees check only the features they split on: neither a stump forest
+        # nor a forest that never splits the last column can tell a short row.
+        ds = gen_friedman1(200, 1.0, seed=11)
+        for depth in (0, 2):
+            config = ForestConfig(
+                subsample_size=100, features_per_split=10, max_depth=depth,
+                n_trees=3, seed=2,
+            )
+            forest = fit_forest(ds, config)
+            assert all(9 not in t.split_features for t in forest.trees)
+            for width in (9, 11):
+                with pytest.raises(ValueError, match="forest expects 10"):
+                    forest_predict_batch(forest, np.zeros((4, width)))
+                with pytest.raises(ValueError, match="forest expects 10"):
+                    forest_predict(forest, np.zeros(width))
+
 
 class TestConfigValidation:
     def test_field_bounds(self):

@@ -12,6 +12,7 @@ from rfsquash.forest import ForestConfig, fit_forest, rederive_subsamples
 from rfsquash.mlr import (
     MlrFitConfig,
     MlrModel,
+    _softmax,
     class_probabilities,
     class_probability_matrix,
     fit_mlr,
@@ -129,6 +130,22 @@ class TestClassProbabilities:
         assert model.base_category == 1
         probs = class_probabilities(model, np.zeros(1))
         assert probs[0] > probs[1]
+
+    def test_overflowing_logit_takes_all_probability(self):
+        # 1e300 * 1e10 overflows to +inf (and -inf); the softmax limit puts
+        # all mass on the +inf leaf, or on the base when the other is -inf
+        model = MlrModel(np.zeros(1), np.array([[1e300]]))
+        probs = class_probability_matrix(model, np.array([[1e10], [-1e10]]))
+        np.testing.assert_array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_tied_infinite_logits_share_probability(self):
+        model = MlrModel(np.zeros(2), np.array([[1e300], [2e300]]))
+        probs = class_probabilities(model, np.array([1e10]))
+        np.testing.assert_array_equal(probs, [0.5, 0.5, 0.0])
+
+    def test_nan_logit_raises(self):
+        with pytest.raises(NumericError, match="NaN"):
+            _softmax(np.array([[0.5, np.nan, 0.0], [0.0, 1.0, 0.0]]))
 
 
 class TestLogLikelihoodAndGradient:

@@ -16,6 +16,7 @@ from rfsquash.forest import (
 )
 from rfsquash.mlr import MlrFitConfig, MlrModel, class_probability_matrix
 from rfsquash.surrogate import (
+    _CELLS,
     SurrogateForest,
     TreeSurrogate,
     extract_leaf_dataset,
@@ -219,6 +220,18 @@ class TestSurrogatePredict:
         scalar = np.array([surrogate_predict(surrogate, row) for row in x])
         np.testing.assert_allclose(batch, scalar, atol=0)
 
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_overflowing_logit_routes_to_its_leaf(self, mode):
+        # 1e300 * 1e10 overflows: the row at +1e10 belongs wholly to leaf 0,
+        # the row at -1e10 to the base leaf
+        surrogate = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1e300]])),
+            leaf_values=np.array([1.0, 2.0]),
+            prediction_mode=mode,
+        )
+        predictions = surrogate_predict_batch(surrogate, np.array([[1e10], [-1e10]]))
+        np.testing.assert_array_equal(predictions, [1.0, 2.0])
+
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="prediction_mode"):
             TreeSurrogate(
@@ -353,3 +366,96 @@ class TestSurrogateForestPredict:
         for x in ds.features[:10]:
             independent = np.mean([surrogate_predict(s, x) for s in sf.surrogates])
             assert surrogate_forest_predict(sf, x) == pytest.approx(independent, abs=1e-12)
+
+
+def _mixed_surrogate_forest(mode, leaf_counts=(1, 4, 2, 9, 1, 3, 6), p=4, seed=30):
+    rng = np.random.default_rng(seed)
+    surrogates = tuple(
+        TreeSurrogate(
+            model=(
+                MlrModel(rng.normal(scale=2, size=k - 1), rng.normal(size=(k - 1, p)))
+                if k > 1
+                else None
+            ),
+            leaf_values=rng.uniform(1.0, 10.0, size=k),
+            prediction_mode=mode,
+        )
+        for k in leaf_counts
+    )
+    config = ForestConfig(
+        subsample_size=10, features_per_split=1, max_depth=4, n_trees=len(leaf_counts)
+    )
+    return SurrogateForest(
+        surrogates=surrogates, config=config, prediction_mode=mode, n_features=p
+    )
+
+
+def _oracle(sf, x):
+    """Per-surrogate forecasts from the MLR probabilities, one model at a time."""
+    per_tree = []
+    for s in sf.surrogates:
+        if s.model is None:
+            per_tree.append(np.full(x.shape[0], s.leaf_values[0]))
+            continue
+        probs = class_probability_matrix(s.model, x)
+        if s.prediction_mode == "argmax":
+            per_tree.append(s.leaf_values[np.argmax(probs, axis=1)])
+        else:
+            per_tree.append(probs @ s.leaf_values)
+    return np.mean(per_tree, axis=0)
+
+
+class TestStackedKernel:
+    """The leaf-major stack predicts every surrogate at once, in row blocks."""
+
+    K_MAX, M = 9, 7
+    BLOCK = _CELLS // (K_MAX * M)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_matches_per_surrogate_oracle(self, mode, n):
+        sf = _mixed_surrogate_forest(mode)
+        assert max(s.n_leaves for s in sf.surrogates) == self.K_MAX
+        assert sf.n_trees == self.M
+        x = np.random.default_rng(n).normal(scale=2, size=(n, sf.n_features))
+        got = surrogate_forest_predict_batch(sf, x)
+        want = _oracle(sf, x)
+        if mode == "argmax":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_single_row_equals_its_batch_row(self, mode):
+        # BLAS may sum a one-row product in another order than a block's, so
+        # expectation forecasts agree to rounding and argmax ones exactly
+        sf = _mixed_surrogate_forest(mode)
+        x = np.random.default_rng(31).normal(scale=2, size=(self.BLOCK + 3, sf.n_features))
+        batch = surrogate_forest_predict_batch(sf, x)
+        for i in (0, 1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 2):
+            single = surrogate_forest_predict(sf, x[i])
+            if mode == "argmax":
+                assert single == batch[i]
+            else:
+                assert single == pytest.approx(batch[i], rel=1e-12, abs=0)
+
+    def test_input_layout_does_not_change_predictions(self):
+        # the CLI hands over column-major features, the library row-major
+        sf = _mixed_surrogate_forest("expectation", leaf_counts=(5,) * 20, p=10)
+        x = np.random.default_rng(33).normal(scale=2, size=(500, sf.n_features))
+        np.testing.assert_array_equal(
+            surrogate_forest_predict_batch(sf, np.asfortranarray(x)),
+            surrogate_forest_predict_batch(sf, x),
+        )
+
+    def test_rejects_wrong_width(self):
+        # single-leaf surrogates read no feature, but the forest still
+        # records how many it was fitted on
+        stumps = _mixed_surrogate_forest("expectation", leaf_counts=(1, 1))
+        mixed = _mixed_surrogate_forest("expectation")
+        for sf in (stumps, mixed):
+            for width in (sf.n_features - 1, sf.n_features + 1):
+                with pytest.raises(ValueError, match="features"):
+                    surrogate_forest_predict_batch(sf, np.zeros((3, width)))
+                with pytest.raises(ValueError, match="features"):
+                    surrogate_forest_predict(sf, np.zeros(width))
