@@ -4,6 +4,12 @@ Trees are grown greedily: at each node a random subset of features is
 considered, and the (feature, midpoint-threshold) pair minimizing the
 count-weighted sum of child response variances is taken, provided it strictly
 improves on the parent. The left branch takes x <= threshold.
+
+A node scores all its candidate features in one matrix pass. Each tree sorts
+every column once, stably, and each split partitions these orders stably; row
+cumulative sums then give every cut's child SSE, and the first minimum in
+candidate-major order wins: the lowest feature, then the lowest threshold.
+The trees are bit-identical to scoring one column at a time.
 """
 
 from __future__ import annotations
@@ -151,7 +157,8 @@ class Forest:
 
     The rows each tree was fitted on are not stored: subsampling is a pure
     function of (config, dataset_rows), so :func:`rederive_subsamples`
-    recomputes them. Every split feature is below ``n_features``.
+    recomputes them. Every split feature is below ``n_features``, and every
+    leaf value and threshold is finite.
     """
 
     trees: tuple[DecisionTree, ...]
@@ -173,6 +180,10 @@ class Forest:
                 f"a tree splits feature {int(top)} of a forest with "
                 f"{self.n_features} features"
             )
+        # one check over every tree's values: one per tree costs ~10x more
+        values = [a for t in self.trees for a in (t.leaf_values, t.split_thresholds)]
+        if not np.isfinite(np.concatenate(values)).all():
+            raise ValueError("leaf values and split thresholds must be finite")
 
     @property
     def n_trees(self) -> int:
@@ -191,50 +202,40 @@ def subsample_indices(n_rows: int, n: int, seed: int, tree_id: int) -> np.ndarra
     return rng.permutation(n_rows)[:n]
 
 
-def _leaf_stat(responses: np.ndarray, summary: str) -> float:
-    if summary == "mean":
-        return float(np.mean(responses))
-    return float(np.median(responses))
-
-
 def _best_split(
-    x_col: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[float, float] | None:
-    """Best threshold on one feature, or None.
+    xs: np.ndarray, ys: np.ndarray, min_leaf: int
+) -> tuple[float, int, float]:
+    """Best split of a node: (weighted child SSE, candidate row, threshold).
 
-    Returns (weighted child SSE, threshold). Thresholds are midpoints between
-    consecutive distinct sorted values; candidates leaving a child below
-    min_leaf are skipped. Ties resolve to the lowest threshold.
+    Row j of ``xs`` holds candidate j's values at the node in ascending order
+    (ties in row order), and row j of ``ys`` the centered responses in that
+    order. Thresholds are midpoints between consecutive distinct values; cuts
+    leaving a child below min_leaf are skipped (SSE inf if none is left).
     """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    # centering leaves every SSE difference intact but avoids cancellation
-    # when responses are large and nearly constant
-    ys = y[order] - y.mean()
-    m = ys.shape[0]
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
-
-    left_n = np.arange(1, m, dtype=np.float64)
+    m = xs.shape[1]
+    # cumsum along a row adds in the same order as on a lone column
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    # cutting after sorted position i leaves i+1 rows on the left; keep the
+    # cuts that leave at least min_leaf rows on each side
+    cut = slice(min_leaf - 1, m - min_leaf)
+    left_n = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)
     right_n = m - left_n
-    left_sum = csum[:-1]
-    left_sq = csq[:-1]
+    left_sum = csum[:, cut]
+    left_sq = csq[:, cut]
     sse = (left_sq - left_sum**2 / left_n) + (
-        (total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n
+        (csq[:, -1:] - left_sq) - (csum[:, -1:] - left_sum) ** 2 / right_n
     )
 
-    mid = (xs[:-1] + xs[1:]) / 2.0
-    # mid < xs[i] guards against midpoints that round up to the right value,
+    lo = xs[:, cut]
+    hi = xs[:, min_leaf : m - min_leaf + 1]
+    mid = (lo + hi) / 2.0
+    # mid < hi guards against midpoints that round up to the right value,
     # which would move that value to the left side and break the counted split
-    valid = (xs[:-1] < xs[1:]) & (mid < xs[1:])
-    valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
-    if not np.any(valid):
-        return None
-    sse = np.where(valid, sse, np.inf)
-    best = int(np.argmin(sse))  # first minimum = lowest threshold
-    return float(sse[best]), float(mid[best])
+    sse[~((lo < hi) & (mid < hi))] = np.inf
+    # the first minimum in row-major (candidate-major) order
+    row, col = divmod(int(np.argmin(sse)), sse.shape[1])
+    return float(sse[row, col]), row, float(mid[row, col])
 
 
 def fit_tree(
@@ -247,73 +248,72 @@ def fit_tree(
     pure function of its inputs no matter how nodes are scheduled.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.shape[0] < config.min_leaf:
-        raise ValueError(
-            f"cannot fit a tree on {rows.shape[0]} rows with min_leaf={config.min_leaf}"
-        )
-    x = dataset.features[rows]
+    n, p = rows.shape[0], dataset.n_features
+    if n < config.min_leaf:
+        raise ValueError(f"cannot fit a tree on {n} rows with min_leaf={config.min_leaf}")
+    # one row per feature: feature f of row position i sits at n * f + i
+    xt = np.ascontiguousarray(dataset.features[rows].T)
     y = dataset.responses[rows]
-    p = dataset.n_features
     k_feats = min(config.features_per_split, p)
 
-    node_feature: list[int] = []
-    node_threshold: list[float] = []
-    node_left: list[object] = []
-    node_right: list[object] = []
-    leaf_value: list[float] = []
-    leaf_count: list[int] = []
+    # Internal nodes in preorder as [feature, threshold, left, right]; a child
+    # reference c >= 0 is node c and c < 0 is leaf -c - 1, leaves left to right.
+    nodes: list[list] = []
+    leaves: list[tuple[float, int]] = []  # (value, row count)
+    summary = np.mean if config.leaf_summary == "mean" else np.median
 
-    def make_leaf(idx: np.ndarray) -> tuple[str, int]:
-        leaf_value.append(_leaf_stat(y[idx], config.leaf_summary))
-        leaf_count.append(int(idx.shape[0]))
-        return ("leaf", len(leaf_value) - 1)
+    def make_leaf(idx: np.ndarray) -> int:
+        leaves.append((float(summary(y[idx])), int(idx.shape[0])))
+        return -len(leaves)
 
-    def build(idx: np.ndarray, depth: int, path: int) -> tuple[str, int]:
-        size = idx.shape[0]
-        if depth >= config.max_depth or size < 2 * config.min_leaf:
+    def build(idx: np.ndarray, ranked: np.ndarray, depth: int, path: int) -> int:
+        """Grow the subtree of the row positions ``idx`` (ascending); row f
+        of ``ranked`` holds the same positions sorted by feature f."""
+        if depth >= config.max_depth or idx.shape[0] < 2 * config.min_leaf:
             return make_leaf(idx)
 
-        centered = y[idx] - y[idx].mean()
-        parent_sse = float(np.sum(centered**2))
+        mean = y[idx].mean()
+        parent_sse = float(np.sum((y[idx] - mean) ** 2))
         rng = _util.rng_for(tree_seed, path, _util.FEATURE_STREAM)
         candidates = np.sort(rng.permutation(p)[:k_feats])
-
-        best_feature = -1
-        best_threshold = 0.0
-        best_sse = np.inf
-        for f in candidates:
-            found = _best_split(x[idx, f], y[idx], config.min_leaf)
-            if found is not None and found[0] < best_sse:
-                best_sse, best_threshold = found
-                best_feature = int(f)
-        if best_feature < 0 or not best_sse < parent_sse:
+        order = ranked[candidates]
+        # centering leaves every SSE difference intact but avoids
+        # cancellation when responses are large and nearly constant
+        best_sse, row, threshold = _best_split(
+            xt.take(order + n * candidates[:, None]), y[order] - mean, config.min_leaf
+        )
+        if not best_sse < parent_sse:
             return make_leaf(idx)
 
-        my_id = len(node_feature)
-        node_feature.append(best_feature)
-        node_threshold.append(best_threshold)
-        node_left.append(None)
-        node_right.append(None)
-        go_left = x[idx, best_feature] <= best_threshold
-        node_left[my_id] = build(idx[go_left], depth + 1, 2 * path)
-        node_right[my_id] = build(idx[~go_left], depth + 1, 2 * path + 1)
-        return ("node", my_id)
+        my_id = len(nodes)
+        node = [int(candidates[row]), threshold, 0, 0]
+        nodes.append(node)
+        left = xt[node[0]] <= threshold
 
-    build(np.arange(rows.shape[0]), 0, 1)
+        def child(side: np.ndarray, child_path: int) -> int:
+            # a stable partition keeps every row of ranked sorted
+            kept = ranked.compress(side[ranked].ravel()).reshape(p, -1)
+            return build(idx[side[idx]], kept, depth + 1, child_path)
 
-    n_internal = len(node_feature)
+        node[2] = child(left, 2 * path)
+        node[3] = child(~left, 2 * path + 1)
+        return my_id
 
-    def encode(ref: tuple[str, int]) -> int:
-        kind, i = ref
-        return i if kind == "node" else n_internal + i
+    # Sort each feature once per tree, ties by position (a stable sort): the
+    # order of a node's rows is then that of its parent, restricted to them.
+    build(np.arange(n), np.argsort(xt, axis=1, kind="stable"), 0, 1)
 
+    table = np.array(nodes, dtype=np.float64).reshape(-1, 4)  # ints are exact
+    children = table[:, 2:].T.astype(np.int32)
+    children[children < 0] = len(nodes) - 1 - children[children < 0]
+    values, counts = zip(*leaves)
     return DecisionTree(
-        split_features=np.array(node_feature, dtype=np.int32),
-        split_thresholds=np.array(node_threshold, dtype=np.float64),
-        children_left=np.array([encode(r) for r in node_left], dtype=np.int32),
-        children_right=np.array([encode(r) for r in node_right], dtype=np.int32),
-        leaf_values=np.array(leaf_value, dtype=np.float64),
-        leaf_counts=np.array(leaf_count, dtype=np.int32),
+        split_features=table[:, 0].astype(np.int32),
+        split_thresholds=table[:, 1].copy(),
+        children_left=children[0],
+        children_right=children[1],
+        leaf_values=np.array(values, dtype=np.float64),
+        leaf_counts=np.array(counts, dtype=np.int32),
     )
 
 

@@ -109,7 +109,8 @@ class TreeSurrogate:
 
 @dataclass(frozen=True)
 class SurrogateForest:
-    """The squashed ensemble: one surrogate per source tree."""
+    """The squashed ensemble: one surrogate per source tree. Every leaf value
+    is finite."""
 
     surrogates: tuple[TreeSurrogate, ...]
     config: ForestConfig
@@ -137,6 +138,9 @@ class SurrogateForest:
                     f"surrogate model has {s.model.n_features} features, "
                     f"forest records {self.n_features}"
                 )
+        values = np.concatenate([s.leaf_values for s in self.surrogates])
+        if not np.isfinite(values).all():
+            raise ValueError("leaf values must be finite")
 
     @property
     def n_trees(self) -> int:

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface, invoked in-process."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ import pytest
 from rfsquash import cli
 from rfsquash.codec import decode, encode, measure_size
 from rfsquash.data import gen_axis_partition, gen_friedman1, split, write_csv
-from rfsquash.forest import ForestConfig, fit_forest, forest_predict_batch
+from rfsquash.forest import (
+    DecisionTree,
+    Forest,
+    ForestConfig,
+    fit_forest,
+    forest_predict_batch,
+)
 from rfsquash.mlr import MlrFitConfig, MlrModel
 from rfsquash.surrogate import (
     SurrogateForest,
@@ -36,6 +44,44 @@ def strip_timing(report: dict) -> dict:
     """Drop the wall-clock section, the only run-dependent report content."""
     cleaned = {k: v for k, v in report.items() if k != "timing"}
     return cleaned
+
+
+def _stump_models():
+    """A one-feature stump forest (threshold 0.375, leaf values 1.25 and 2.5)
+    and a surrogate forest with the same leaf values."""
+    config = ForestConfig(subsample_size=2, features_per_split=1, max_depth=1, n_trees=1)
+    tree = DecisionTree(
+        split_features=np.array([0], dtype=np.int32),
+        split_thresholds=np.array([0.375]),
+        children_left=np.array([1], dtype=np.int32),
+        children_right=np.array([2], dtype=np.int32),
+        leaf_values=np.array([1.25, 2.5]),
+        leaf_counts=np.array([1, 1], dtype=np.int32),
+    )
+    forest = Forest(
+        trees=(tree,), config=config, dataset_rows=2, dataset_fingerprint=0, n_features=1
+    )
+    surrogate = TreeSurrogate(
+        model=MlrModel(np.array([3.0]), np.array([[-8.0]])),
+        leaf_values=np.array([1.25, 2.5]),
+        prediction_mode="expectation",
+    )
+    sf = SurrogateForest(
+        surrogates=(surrogate,), config=config, prediction_mode="expectation",
+        n_features=1,
+    )
+    return forest, sf
+
+
+def _resealed(blob: bytes, old: float, new: float) -> bytes:
+    """The f64 file with its one field holding ``old`` set to ``new`` and the
+    payload CRC-32 resealed, so that only the model's own checks can object."""
+    at = blob.index(struct.pack("<d", old), 16)
+    assert blob.find(struct.pack("<d", old), at + 1) < 0
+    out = bytearray(blob)
+    out[at : at + 8] = struct.pack("<d", new)
+    out[-4:] = struct.pack("<I", zlib.crc32(bytes(out[16:-4])))
+    return bytes(out)
 
 
 class TestTrain:
@@ -279,6 +325,27 @@ class TestEvaluateAndPredict:
         probe_csv.write_text("x1\n1e10\n-1e10\n")
         report = run_json(capsys, "predict", str(model_path), str(probe_csv))
         assert report["predictions"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("forest", 2.5, float("nan")),  # a leaf value
+            ("forest", 0.375, float("inf")),  # the threshold
+            ("surrogate", 2.5, float("nan")),  # a leaf value
+        ],
+    )
+    def test_non_finite_model_value_exits_2(self, capsys, tmp_path, kind, old, new):
+        # Such files used to decode, and predict printed nan with exit 0.
+        forest, sf = _stump_models()
+        model_path = tmp_path / "m.rfsq"
+        blob = encode(forest if kind == "forest" else sf, "f64")
+        model_path.write_bytes(_resealed(blob, old, new))
+        probe_csv = tmp_path / "probe.csv"
+        probe_csv.write_text("x1\n0.25\n0.75\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(probe_csv))
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "evaluate", str(tmp_path / "none.rfsq"),

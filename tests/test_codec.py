@@ -387,8 +387,8 @@ _FUZZ_MAX_FEATURES = 64
 )
 def test_mutated_payload_decodes_to_a_usable_model_or_fails(kind, edits):
     """Any CRC-valid byte mutation either raises CodecError or decodes to a
-    model whose batch prediction returns or raises NumericError (a mutated
-    parameter can make a logit NaN)."""
+    model whose batch prediction returns (finite values, for a forest) or
+    raises NumericError (a mutated parameter can make a logit NaN)."""
     blob = _fuzz_seed_blob(kind)
     payload_len = len(blob) - ENVELOPE_BYTES
     for offset, value in edits:
@@ -402,6 +402,10 @@ def test_mutated_payload_decodes_to_a_usable_model_or_fails(kind, edits):
     probe = np.random.default_rng(0).uniform(-0.5, 1.5, size=(16, model.n_features))
     with np.errstate(all="ignore"):  # mutated floats may overflow to inf or nan
         try:
-            assert _model_predict_batch(model, probe).shape == (16,)
+            predictions = _model_predict_batch(model, probe)
         except NumericError:
             assert kind == "surrogate"
+            return
+    assert predictions.shape == (16,)
+    if kind == "forest":  # a forest that decodes holds only finite values
+        assert np.isfinite(predictions).all()

@@ -1,8 +1,14 @@
 """Tests for CART tree fitting, traversal, and the forest ensemble."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfsquash import _util
+from rfsquash.codec import encode
 from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
 from rfsquash.forest import (
     DecisionTree,
@@ -75,6 +81,69 @@ def _brute_force_best_split(x, y, min_leaf):
             if best is None or sse < best[0] - 1e-12:
                 best = (sse, f, threshold)
     return best
+
+
+def _column_loop_tree(dataset, rows, config, tree_seed):
+    """Test-only oracle: grow the tree scoring one candidate column at a time,
+    keeping a column only if its best SSE is strictly lower than the best so
+    far, with the arithmetic of a lone-column scan."""
+    x, y = dataset.features[rows], dataset.responses[rows]
+    p = dataset.n_features
+    nodes, leaves = [], []  # [feature, threshold, left ref, right ref]; (value, count)
+
+    def column_split(col, ys_node):
+        order = np.argsort(col, kind="stable")
+        xs, ys = col[order], ys_node[order] - ys_node.mean()
+        m = ys.shape[0]
+        csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
+        left_n = np.arange(1, m, dtype=np.float64)
+        right_n = m - left_n
+        sse = (csq[:-1] - csum[:-1] ** 2 / left_n) + (
+            (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / right_n
+        )
+        mid = (xs[:-1] + xs[1:]) / 2.0
+        valid = (xs[:-1] < xs[1:]) & (mid < xs[1:])
+        valid &= (left_n >= config.min_leaf) & (right_n >= config.min_leaf)
+        if not valid.any():
+            return np.inf, 0.0
+        best = int(np.argmin(np.where(valid, sse, np.inf)))
+        return sse[best], mid[best]
+
+    def grow(idx, depth, path):
+        if depth >= config.max_depth or idx.shape[0] < 2 * config.min_leaf:
+            leaves.append((float(np.mean(y[idx])), idx.shape[0]))
+            return ("leaf", len(leaves) - 1)
+        parent_sse = float(np.sum((y[idx] - y[idx].mean()) ** 2))
+        rng = _util.rng_for(tree_seed, path, _util.FEATURE_STREAM)
+        best_sse, feature, threshold = np.inf, -1, 0.0
+        for f in np.sort(rng.permutation(p)[: config.features_per_split]):
+            sse, mid = column_split(x[idx, f], y[idx])
+            if sse < best_sse:
+                best_sse, feature, threshold = sse, int(f), mid
+        if not best_sse < parent_sse:
+            leaves.append((float(np.mean(y[idx])), idx.shape[0]))
+            return ("leaf", len(leaves) - 1)
+        node_id = len(nodes)
+        node = [feature, threshold, None, None]
+        nodes.append(node)
+        go_left = x[idx, feature] <= threshold
+        node[2] = grow(idx[go_left], depth + 1, 2 * path)
+        node[3] = grow(idx[~go_left], depth + 1, 2 * path + 1)
+        return ("node", node_id)
+
+    grow(np.arange(len(rows)), 0, 1)  # nodes in preorder, leaves left to right
+
+    def ref(r):
+        return r[1] if r[0] == "node" else len(nodes) + r[1]
+
+    return DecisionTree(
+        split_features=np.array([n[0] for n in nodes], dtype=np.int32),
+        split_thresholds=np.array([n[1] for n in nodes], dtype=np.float64),
+        children_left=np.array([ref(n[2]) for n in nodes], dtype=np.int32),
+        children_right=np.array([ref(n[3]) for n in nodes], dtype=np.int32),
+        leaf_values=np.array([v for v, _ in leaves], dtype=np.float64),
+        leaf_counts=np.array([c for _, c in leaves], dtype=np.int32),
+    )
 
 
 class TestSubsample:
@@ -260,6 +329,95 @@ class TestFitTree:
         tree = fit_tree(ds, np.arange(300), config, tree_seed=0)
         assert tree.n_leaves == 2
         assert sorted(tree.leaf_values.tolist()) == [1e8 + 2.0, 1e8 + 4.0]
+
+    def test_duplicate_column_loses_to_the_lower_index(self):
+        # columns 0 and 2 are equal, so every node scores them equally
+        rng = np.random.default_rng(8)
+        signal = rng.random(120)
+        x = np.column_stack([signal, rng.random(120), signal])
+        ds = Dataset(np.sin(6 * signal) + rng.normal(scale=0.1, size=120), x)
+        config = ForestConfig(
+            subsample_size=120, features_per_split=3, max_depth=4, n_trees=1, min_leaf=2
+        )
+        tree = fit_tree(ds, np.arange(120), config, tree_seed=0)
+        assert tree.split_features[0] == 0
+        assert 2 not in tree.split_features
+
+    def test_equal_sse_thresholds_take_the_lower(self):
+        # cutting after the first or after the third row both give SSE 2/3
+        ds = Dataset(np.array([0.0, 1.0, 1.0, 0.0]), np.array([[0.0], [1], [2], [3]]))
+        config = ForestConfig(
+            subsample_size=4, features_per_split=1, max_depth=1, n_trees=1
+        )
+        tree = fit_tree(ds, np.arange(4), config, tree_seed=0)
+        assert tree.split_thresholds.tolist() == [0.5]
+
+
+_TREE_ARRAYS = (
+    "split_features",
+    "split_thresholds",
+    "children_left",
+    "children_right",
+    "leaf_values",
+    "leaf_counts",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    p=st.integers(1, 5),
+    levels=st.integers(1, 5),
+    dup=st.booleans(),
+    const=st.booleans(),
+    min_leaf=st.integers(1, 5),
+    k=st.integers(1, 5),
+    depth=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_tree_matches_the_column_loop(n, p, levels, dup, const, min_leaf, k, depth, seed):
+    """The matrix scorer grows bit-identical trees to one-column-at-a-time
+    scoring on tie-heavy data: integer-valued features and responses, a
+    duplicated and a constant column, k <= p."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)).astype(np.float64)
+    if dup and p > 1:
+        x[:, -1] = x[:, 0]
+    if const:
+        x[:, rng.integers(p)] = 1.5
+    ds = Dataset(rng.integers(0, 4, size=n).astype(np.float64), x)
+    config = ForestConfig(
+        subsample_size=n,
+        features_per_split=min(k, p),
+        max_depth=depth,
+        n_trees=1,
+        min_leaf=min(min_leaf, n),
+    )
+    rows = rng.permutation(n)
+    fitted = fit_tree(ds, rows, config, tree_seed=seed)
+    oracle = _column_loop_tree(ds, rows, config, tree_seed=seed)
+    for name in _TREE_ARRAYS:
+        a, b = getattr(fitted, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (10, "3e5bb63b92cfbe7912c887033948b74b15aa582fc9a567f33db34f4aa5b4a530"),
+        (3, "11801bada26715272f2f727b44ba3bd33aa53f01117d5df8549c4d6b83537738"),
+    ],
+)
+def test_training_bytes_are_pinned(k, digest):
+    """SHA-256 of the f64 file of two fixed forests (Friedman #1, whose last 5
+    of 10 columns are noise; n=600, d=8, M=3, min_leaf=8), pinned so that any
+    change to the split arithmetic fails here instead of drifting silently."""
+    ds = gen_friedman1(1000, 1.0, seed=7)
+    config = ForestConfig(
+        subsample_size=600, features_per_split=k, max_depth=8, n_trees=3, min_leaf=8,
+        seed=2024,
+    )
+    assert hashlib.sha256(encode(fit_forest(ds, config), "f64")).hexdigest() == digest
 
 
 class TestTreeStructure:
