@@ -1,7 +1,8 @@
-"""Seed derivation and thread-pool helpers used across modules."""
+"""Seed derivation, thread-pool and ensemble-mean helpers used across modules."""
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -51,3 +52,19 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], n_jobs: int | None = 
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+@np.errstate(over="ignore")
+def mean_over_trees(per_tree: np.ndarray) -> np.ndarray:
+    """np.mean over axis 0 of (M,) or (M, N) per-tree forecasts, except where
+    the running sum of finite values overflows: those entries become the sum
+    of value / M, whose partial sums stay within max |value|."""
+    mean = np.add.reduce(per_tree, axis=0) / len(per_tree)  # np.mean, bit for bit
+    if math.isfinite(mean) if per_tree.ndim == 1 else np.isfinite(mean).all():
+        return mean
+    mean, bad = np.array(mean), ~np.isfinite(mean)  # 0-d for (M,)
+    part = per_tree[..., bad]
+    # a mean of finite values is in range; only the last rounding can step out
+    top = np.where(np.isfinite(part).all(axis=0), np.finfo(np.float64).max, np.inf)
+    mean[bad] = np.clip(np.sum(part / len(per_tree), axis=0), -top, top)
+    return mean

@@ -15,6 +15,7 @@ The trees are bit-identical to scoring one column at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,8 +158,9 @@ class Forest:
 
     The rows each tree was fitted on are not stored: subsampling is a pure
     function of (config, dataset_rows), so :func:`rederive_subsamples`
-    recomputes them. Every split feature is below ``n_features``, and every
-    leaf value and threshold is finite.
+    recomputes them. Every split feature is below ``n_features``, every leaf
+    value and threshold is finite, and each tree's leaf counts sum to
+    ``config.subsample_size``.
     """
 
     trees: tuple[DecisionTree, ...]
@@ -184,6 +186,17 @@ class Forest:
         values = [a for t in self.trees for a in (t.leaf_values, t.split_thresholds)]
         if not np.isfinite(np.concatenate(values)).all():
             raise ValueError("leaf values and split thresholds must be finite")
+        # each tree's leaves partition its subsample; one pass, as above
+        # (small lists stay lists: converting them costs more than the sums)
+        counts = [t.leaf_counts for t in self.trees]
+        starts = list(accumulate([len(c) for c in counts[:-1]], initial=0))
+        sums = np.add.reduceat(np.concatenate(counts), starts, dtype=np.int64).tolist()
+        n = self.config.subsample_size
+        if sums.count(n) != len(sums):
+            tree = next(m for m, total in enumerate(sums) if total != n)
+            raise ValueError(
+                f"tree {tree}'s leaf counts sum to {sums[tree]}, not subsample_size {n}"
+            )
 
     @property
     def n_trees(self) -> int:
@@ -416,7 +429,7 @@ def forest_predict(forest: Forest, x: np.ndarray) -> float:
     if len(x) != forest.n_features:
         raise ValueError(f"input has {len(x)} features, forest expects {forest.n_features}")
     per_tree = np.array([tree_predict(t, x) for t in forest.trees])
-    return float(np.mean(per_tree))
+    return float(_util.mean_over_trees(per_tree))
 
 
 def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
@@ -426,4 +439,4 @@ def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
             f"input has {x.shape[1]} features, forest expects {forest.n_features}"
         )
     stacked = np.stack([tree_predict_batch(t, x) for t in forest.trees])
-    return np.mean(stacked, axis=0)
+    return _util.mean_over_trees(stacked)

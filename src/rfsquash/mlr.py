@@ -12,7 +12,9 @@ by truncated Newton-CG with step-halving (Lin, Weng & Keerthi 2008, JMLR 9):
 each Newton direction comes from conjugate gradients on Hessian-vector
 products, which cost O(N (K-1)(p+1)) and never form the Hessian, and CG is
 preconditioned with Boehning's fixed curvature bound (Boehning 1992, Ann.
-Inst. Stat. Math. 44:197). The same path runs at every problem size. A small
+Inst. Stat. Math. 44:197). The same path runs at every problem size. Every
+per-row array of the fit is held category-major, (categories, rows), so
+memory stays O(N (K-1)) and each product is one GEMM. A small
 positive penalty keeps the optimum finite on separable data, where the
 unpenalized MLE diverges. The fit stops when the max-norm of the penalized
 gradient with respect to the original-scale parameters is within the
@@ -109,7 +111,9 @@ class MlrFitResult:
     """A fitted model plus how the optimizer stopped.
 
     ``optimizer_used`` is "newton" for every fitted model and "none" when no
-    category but the base has data, so there is nothing to fit.
+    category but the base has data, so there is nothing to fit. ``cg_steps``
+    counts the Hessian-vector products over all Newton iterations (0 for
+    "none").
     """
 
     model: MlrModel
@@ -117,6 +121,7 @@ class MlrFitResult:
     iterations: int
     grad_max_norm: float
     optimizer_used: str
+    cg_steps: int
 
 
 def multinomial_pmf(counts, theta, n: int) -> float:
@@ -263,7 +268,7 @@ def penalized_gradient(
 
 
 class _Objective:
-    """Penalized objective in standardized coordinates.
+    """Penalized objective in standardized coordinates, held category-major.
 
     Internally the design matrix is standardized column-wise. The linear map
     back to original-scale parameters is, per category,
@@ -273,6 +278,12 @@ class _Objective:
 
     and the penalty is (lambda/2) ||T w'||^2 with T that map, so the optimum
     found here is the optimum of the original-scale objective.
+
+    Only the A active categories (non-base, with data) carry parameters, as
+    W (A, p+1). Every per-row array is category-major: Phi' = [1, z]' is one
+    contiguous (p+1, N) block, the logits are the one product W Phi' (A, N),
+    and the probabilities come out (A, N). The base and inactive logits are
+    exactly 0 and are never stored, so memory is O(N A).
     """
 
     def __init__(
@@ -283,7 +294,6 @@ class _Objective:
         active: np.ndarray,
         l2_penalty: float,
     ) -> None:
-        self.labels = labels
         self.k = n_categories
         self.active = active  # indices of non-base categories with data
         self.lam = l2_penalty
@@ -292,10 +302,9 @@ class _Objective:
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
         scale[scale == 0.0] = 1.0
-        # Phi = [1, z] as one contiguous array: every product below is one GEMM
-        self.phi = np.empty((self.n, self.p + 1))
-        self.phi[:, 0] = 1.0
-        np.divide(x - mean, scale, out=self.phi[:, 1:])
+        self.phi_t = np.empty((self.p + 1, self.n))
+        self.phi_t[0] = 1.0
+        np.divide((x - mean).T, scale[:, None], out=self.phi_t[1:])
 
         # T maps standardized params [a', b'] to original [a, b] per category
         t = np.zeros((self.p + 1, self.p + 1))
@@ -306,16 +315,15 @@ class _Objective:
         self.t_inv = np.linalg.inv(t)
         self.penalty_quad = l2_penalty * (t.T @ t)
 
-        self.one_hot = np.zeros((self.n, len(active)))
-        for col, j in enumerate(active):
-            self.one_hot[labels == j, col] = 1.0
+        self.one_hot = (labels == active[:, None]).astype(np.float64)  # Y (A, N)
+        self.label_phi = self.one_hot @ self.phi_t.T
 
         # Preconditioner: Boehning's bound (1/2)(I - 11'/K) (x) G on the
         # negative log-likelihood Hessian, G = Phi'Phi, plus I (x) penalty_quad.
         # (I - 11'/K) has eigenvalue 1 - A/K along the all-ones category
         # direction and 1 across it, so the inverse applied to R (A, p+1) is
         # R B + mean(R) (B_mean - B), with B and B_mean the two block inverses.
-        gram = self.phi.T @ self.phi
+        gram = self.phi_t @ self.phi_t.T
         shrink = 1.0 - len(active) / n_categories
         self._precond = np.linalg.pinv(0.5 * gram + self.penalty_quad, hermitian=True)
         self._precond_mean = (
@@ -323,53 +331,51 @@ class _Objective:
             - self._precond
         )
 
-    def _logits(self, w: np.ndarray) -> np.ndarray:
-        """w has shape (A, p+1); returns (N, K) logits, inactive columns 0."""
-        logits = np.zeros((self.n, self.k))
-        logits[:, self.active] = self.phi @ w.T
-        return logits
-
     def to_original(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map standardized (A, p+1) params to full original-scale (K-1, p+1)."""
         full = np.zeros((self.k - 1, self.p + 1))
-        for col, j in enumerate(self.active):
-            full[j] = self.t @ w[col]
+        full[self.active] = w @ self.t.T
         return full[:, 0], full[:, 1:]
-
-    def value(self, w: np.ndarray) -> float:
-        logits = self._logits(w)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        ll = float(np.sum(logits[np.arange(self.n), self.labels] - lse))
-        return ll - self._penalty(w)
 
     def _penalty(self, w: np.ndarray) -> float:
         mapped = w @ self.t.T
         return 0.5 * self.lam * float(np.sum(mapped * mapped))
 
+    def _numerators(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The objective, the active softmax numerators exp(z - top) (A, N)
+        and their denominators (N,), top being each row's largest logit."""
+        e = w @ self.phi_t
+        top = e.max(axis=0)
+        np.maximum(top, 0.0, out=top)  # the K - A zero logits
+        e -= top
+        np.exp(e, out=e)
+        denom = e.sum(axis=0)
+        denom += (self.k - len(self.active)) * np.exp(-top)
+        # sum_i z_{i, label_i} = <W, Y Phi>, as base logits are 0
+        ll = float(np.vdot(w, self.label_phi)) - float(np.sum(np.log(denom) + top))
+        return ll - self._penalty(w), e, denom
+
+    def value(self, w: np.ndarray) -> float:
+        return self._numerators(w)[0]
+
     def value_grad_probs(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """One pass computing the objective, its standardized-space gradient
-        (A, p+1), and the (N, A) active-category probabilities that
-        curvature products at w need."""
-        logits = self._logits(w)
-        top = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - top)
-        denom = e.sum(axis=1, keepdims=True)
-        lse = np.log(denom[:, 0]) + top[:, 0]
-        ll = float(np.sum(logits[np.arange(self.n), self.labels] - lse))
-        probs = e[:, self.active] / denom
-        grad = (self.one_hot - probs).T @ self.phi
-        grad -= w @ self.penalty_quad.T
-        return ll - self._penalty(w), grad, probs
+        (Y - P) Phi - W Q (A, p+1), and the (A, N) active-category
+        probabilities P that curvature products at w need."""
+        value, probs, denom = self._numerators(w)
+        probs /= denom
+        grad = (self.one_hot - probs) @ self.phi_t.T
+        grad -= w @ self.penalty_quad
+        return value, grad, probs
 
     def curvature(self, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Negative Hessian at the point with these probabilities, applied to
         v (A, p+1), without forming the Hessian: O(N A (p+1)) time."""
-        # Per row, (diag(P) - P P') u = P * (u - P'u), computed in place.
-        u = self.phi @ v.T
-        u -= np.einsum("ij,ij->i", probs, u)[:, None]
+        # Per row (a column here), (diag(P) - P P') u = P * (u - P'u), in place.
+        u = v @ self.phi_t
+        u -= np.einsum("ij,ij->j", probs, u)
         u *= probs
-        return (self.phi.T @ u).T + v @ self.penalty_quad
+        return u @ self.phi_t.T + v @ self.penalty_quad
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return r @ self._precond + r.mean(axis=0) @ self._precond_mean
@@ -386,8 +392,9 @@ class _Objective:
 
 def _newton_cg_direction(
     objective: _Objective, probs: np.ndarray, grad: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Truncated preconditioned CG on (-Hessian) d = gradient.
+) -> tuple[np.ndarray, int]:
+    """Truncated preconditioned CG on (-Hessian) d = gradient; returns d and
+    the number of Hessian-vector products taken.
 
     Stops at relative residual min(0.5, sqrt(||g||)) (Eisenstat-Walker
     forcing, superlinear near the optimum), or once the residual, which is
@@ -401,13 +408,13 @@ def _newton_cg_direction(
     z = objective.precondition(r)
     s = z
     rz = float(np.vdot(r, z))
-    for _ in range(grad.size):
+    for steps in range(1, grad.size + 1):  # grad.size >= 1
         q = objective.curvature(probs, s)
         sq = float(np.vdot(s, q))
         if sq <= 0.0 or rz <= 0.0:
             # Flat direction (only reachable at lambda = 0): keep what CG
             # has, or the preconditioned gradient on the first pass.
-            return d if d.any() else z
+            return (d if d.any() else z), steps
         alpha = rz / sq
         d += alpha * s
         r -= alpha * q
@@ -420,7 +427,7 @@ def _newton_cg_direction(
         rz_next = float(np.vdot(r, z))
         s = z + (rz_next / rz) * s
         rz = rz_next
-    return d
+    return d, steps
 
 
 def _ascend(
@@ -437,23 +444,28 @@ def _ascend(
     return w, f0, False
 
 
-def _fit(objective: _Objective, config: MlrFitConfig) -> tuple[np.ndarray, bool, int, float]:
-    """Truncated Newton-CG ascent with step halving, from all-zero parameters."""
+def _fit(
+    objective: _Objective, config: MlrFitConfig
+) -> tuple[np.ndarray, bool, int, int, float]:
+    """Truncated Newton-CG ascent with step halving, from all-zero parameters.
+    Returns the parameters, whether they converged, the Newton iterations,
+    the CG steps and the final gradient max-norm."""
     w = np.zeros((len(objective.active), objective.p + 1))
     f, grad, probs = objective.value_grad_probs(w)
     grad_norm = objective.grad_norm_original(grad)
-    iterations = 0
+    iterations = cg_steps = 0
     while grad_norm > config.gradient_tolerance and iterations < config.max_iterations:
-        direction = _newton_cg_direction(
+        direction, steps = _newton_cg_direction(
             objective, probs, grad, config.gradient_tolerance
         )
         w, f, moved = _ascend(objective, w, direction, f)
         iterations += 1
+        cg_steps += steps
         f, grad, probs = objective.value_grad_probs(w)
         grad_norm = objective.grad_norm_original(grad)
         if not moved:
             break
-    return w, grad_norm <= config.gradient_tolerance, iterations, grad_norm
+    return w, grad_norm <= config.gradient_tolerance, iterations, cg_steps, grad_norm
 
 
 def fit_mlr(
@@ -485,20 +497,17 @@ def fit_mlr(
     if labels.shape[0] != x.shape[0]:
         raise ValueError(f"{x.shape[0]} feature rows vs {labels.shape[0]} labels")
 
-    counts = np.bincount(labels, minlength=n_categories)
-    active = np.array(
-        [j for j in range(n_categories - 1) if counts[j] > 0], dtype=np.int64
-    )
+    active = np.flatnonzero(np.bincount(labels, minlength=n_categories)[:-1])
     p = x.shape[1]
     if active.size == 0:
         model = MlrModel(np.zeros(n_categories - 1), np.zeros((n_categories - 1, p)))
-        return MlrFitResult(model, True, 0, 0.0, "none")
+        return MlrFitResult(model, True, 0, 0.0, "none", 0)
 
     objective = _Objective(x, labels, n_categories, active, config.l2_penalty)
-    w, converged, iterations, grad_norm = _fit(objective, config)
+    w, converged, iterations, cg_steps, grad_norm = _fit(objective, config)
 
     alpha, beta = objective.to_original(w)
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise NumericError("optimizer produced non-finite coefficients")
     model = MlrModel(alpha, beta)
-    return MlrFitResult(model, converged, iterations, grad_norm, "newton")
+    return MlrFitResult(model, converged, iterations, grad_norm, "newton", cg_steps)

@@ -354,4 +354,4 @@ def surrogate_forest_predict(sf: SurrogateForest, x: np.ndarray) -> float:
 def surrogate_forest_predict_batch(sf: SurrogateForest, x: np.ndarray) -> np.ndarray:
     """Squashed-ensemble forecasts at every row of x: the mean over the
     (M, N) per-surrogate forecasts, the same reduction the forest uses."""
-    return np.mean(_per_tree_predictions(sf._stack, x, sf.prediction_mode), axis=0)
+    return _util.mean_over_trees(_per_tree_predictions(sf._stack, x, sf.prediction_mode))

@@ -9,7 +9,8 @@ import pytest
 
 from rfsquash import cli
 from rfsquash.codec import decode, encode, measure_size
-from rfsquash.data import gen_axis_partition, gen_friedman1, split, write_csv
+from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1, split, write_csv
+from rfsquash.errors import CodecError
 from rfsquash.forest import (
     DecisionTree,
     Forest,
@@ -346,6 +347,57 @@ class TestEvaluateAndPredict:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("kind", ["forest", "surrogate"])
+    def test_overflowing_sum_of_leaf_values_predicts_finite(self, capsys, tmp_path, kind):
+        # Two d=0 trees of leaf value 1.5e308: their sum overflows, and
+        # predict used to print Infinity (not JSON) with exit 0.
+        config = ForestConfig(subsample_size=2, features_per_split=1, max_depth=0, n_trees=2)
+        if kind == "forest":
+            leaf = DecisionTree(
+                split_features=np.zeros(0, dtype=np.int32),
+                split_thresholds=np.zeros(0),
+                children_left=np.zeros(0, dtype=np.int32),
+                children_right=np.zeros(0, dtype=np.int32),
+                leaf_values=np.array([1.5e308]),
+                leaf_counts=np.array([2], dtype=np.int32),
+            )
+            model = Forest(trees=(leaf, leaf), config=config, dataset_rows=2,
+                           dataset_fingerprint=0, n_features=1)
+        else:
+            leaf = TreeSurrogate(model=None, leaf_values=np.array([1.5e308]),
+                                 prediction_mode="expectation")
+            model = SurrogateForest(surrogates=(leaf, leaf), config=config,
+                                    prediction_mode="expectation", n_features=1)
+        model_path = tmp_path / "m.rfsq"
+        model_path.write_bytes(encode(model, "f64"))
+        probe_csv = tmp_path / "probe.csv"
+        probe_csv.write_text("x1\n0.25\n0.75\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(probe_csv))
+        assert code == 0, err
+        assert "Infinity" not in out
+        assert json.loads(out)["predictions"] == [1.5e308, 1.5e308]
+
+    def test_leaf_counts_off_the_subsample_exit_2(self, capsys, tmp_path):
+        # The stump's counts (1, 1) resealed as (1, 2) under subsample_size
+        # 2: such a file used to decode, and predict ran on it.
+        forest, _ = _stump_models()
+        blob = bytearray(encode(forest, "f64"))
+        blob[-8:-4] = struct.pack("<I", 2)  # the last leaf count ends the payload
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+        with pytest.raises(CodecError, match="leaf counts sum to 3"):
+            decode(bytes(blob))
+        model_path = tmp_path / "m.rfsq"
+        model_path.write_bytes(bytes(blob))
+        data_csv = tmp_path / "data.csv"
+        write_csv(Dataset(np.array([1.25, 2.5]), np.array([[0.25], [0.75]])), data_csv)
+        for argv in (
+            ("predict", str(model_path), str(data_csv)),
+            ("squash", str(model_path), str(data_csv), "--out", str(tmp_path / "s.rfsq")),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "leaf counts sum to 3" in err
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "evaluate", str(tmp_path / "none.rfsq"),

@@ -305,7 +305,8 @@ class TestDecodeErrors:
 
     def test_u32_overflow_rejected_at_encode(self):
         _, forest = _random_forest(18)
-        config = dataclasses.replace(forest.config, subsample_size=2**32)
+        # the depth cap: subsample_size must equal every tree's leaf-count sum
+        config = dataclasses.replace(forest.config, max_depth=2**32)
         oversized = dataclasses.replace(forest, config=config)
         with pytest.raises(CodecError, match="unsigned"):
             encode(oversized, "f64")

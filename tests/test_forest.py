@@ -457,6 +457,26 @@ class TestTreeStructure:
         with pytest.raises(ValueError, match=match):
             self._tree(**{**self.VALID, **change})
 
+    def test_forest_rejects_leaf_counts_off_the_subsample(self):
+        # leaves partition the subsample: counts summing to 3 of 5 rows used
+        # to be accepted
+        tree = self._tree(**self.VALID)
+
+        def forest(n):
+            config = ForestConfig(
+                subsample_size=n, features_per_split=1, max_depth=2, n_trees=2
+            )
+            return Forest(
+                trees=(tree, tree), config=config, dataset_rows=5,
+                dataset_fingerprint=0, n_features=1,
+            )
+
+        forest(3)
+        for n in (2, 5):
+            message = f"tree 0's leaf counts sum to 3, not subsample_size {n}"
+            with pytest.raises(ValueError, match=message):
+                forest(n)
+
     def test_forest_rejects_split_feature_past_p(self):
         tree = self._tree(**{**self.VALID, "features": [0, 1]})
         config = ForestConfig(
@@ -605,6 +625,32 @@ class TestForestPredict:
     def test_mean_of_two_trees(self):
         forest = _manual_forest([_single_leaf(2.0), _single_leaf(4.0)])
         assert forest_predict(forest, np.array([0.0])) == 3.0
+
+    def test_overflowing_sum_of_finite_values_stays_finite(self):
+        # 1.5e308 + 1.5e308 overflows; the mean of the two does not, and the
+        # forest used to predict inf
+        forest = _manual_forest([_single_leaf(1.5e308), _single_leaf(1.5e308)])
+        rows = np.array([[0.0], [1.0]])
+        np.testing.assert_array_equal(forest_predict_batch(forest, rows), 1.5e308)
+        assert forest_predict(forest, rows[0]) == 1.5e308
+        # three times the largest float / 3 rounds past it: the mean is that float
+        top = np.finfo(np.float64).max
+        forest = _manual_forest([_single_leaf(top)] * 3)
+        np.testing.assert_array_equal(forest_predict_batch(forest, rows), top)
+        assert forest_predict(forest, rows[0]) == top
+
+    def test_mean_is_bit_equal_to_np_mean(self):
+        ds = gen_friedman1(200, 1.0, seed=12)
+        config = ForestConfig(
+            subsample_size=100, features_per_split=5, max_depth=4, n_trees=13, seed=3
+        )
+        forest = fit_forest(ds, config)
+        per_tree = np.array([[tree_predict(t, row) for row in ds.features]
+                             for t in forest.trees])
+        batch = forest_predict_batch(forest, ds.features)
+        np.testing.assert_array_equal(batch, np.mean(per_tree, axis=0))
+        for row, column in zip(ds.features[:10], per_tree.T):
+            assert forest_predict(forest, row) == np.mean(column)
 
     def test_recomputation_oracle(self):
         ds = gen_friedman1(100, 1.0, seed=9)

@@ -12,6 +12,7 @@ from rfsquash.forest import ForestConfig, fit_forest, rederive_subsamples
 from rfsquash.mlr import (
     MlrFitConfig,
     MlrModel,
+    _Objective,
     _softmax,
     class_probabilities,
     class_probability_matrix,
@@ -215,6 +216,7 @@ class TestFitMlr:
         np.testing.assert_array_equal(result.model.intercepts, 0.0)
         np.testing.assert_array_equal(result.model.coefficients, 0.0)
         assert result.converged
+        assert (result.iterations, result.cg_steps) == (0, 0)
         assert predict_class(result.model, x[0]) == 0
 
     def test_absent_middle_category_stays_zero(self):
@@ -272,6 +274,27 @@ class TestFitMlr:
         b = fit_mlr(x, labels, 4, config)
         np.testing.assert_array_equal(_params_flat(a.model), _params_flat(b.model))
         assert (a.iterations, a.grad_max_norm) == (b.iterations, b.grad_max_norm)
+        assert a.cg_steps == b.cg_steps
+
+    def test_cg_steps_count_the_hessian_products(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(80, 3))
+        labels = rng.integers(0, 5, size=80)
+        config = MlrFitConfig(l2_penalty=1e-3, gradient_tolerance=1e-8)
+        result = fit_mlr(x, labels, 5, config)
+        assert result.converged and result.iterations >= 2
+        # every Newton iteration takes at least one CG step
+        assert result.cg_steps >= result.iterations
+        assert fit_mlr(x, labels, 5, config).cg_steps == result.cg_steps
+        calls = []
+        original = _Objective.curvature
+
+        def counted(self, probs, v):
+            calls.append(1)
+            return original(self, probs, v)
+
+        monkeypatch.setattr(_Objective, "curvature", counted)
+        assert fit_mlr(x, labels, 5, config).cg_steps == len(calls)
 
     def test_matches_scipy_oracle(self):
         # Independent oracle: scipy's BFGS on the public objective and
@@ -373,6 +396,59 @@ class TestFitMlr:
             MlrFitConfig(gradient_tolerance=0.0)
         with pytest.raises(TypeError):  # one optimizer; there is nothing to pick
             MlrFitConfig(optimizer="sgd")
+
+
+class TestObjectiveOracle:
+    """The category-major objective against the public row-major functions,
+    on a K=4 instance whose middle category 1 has no rows."""
+
+    K, P = 4, 2
+
+    def _instance(self, lam):
+        rng = np.random.default_rng(15)
+        x = rng.normal(loc=[1.0, -2.0], scale=[0.5, 3.0], size=(40, self.P))
+        labels = rng.choice([0, 2, 3], size=40)  # 3 is the base
+        active = np.array([0, 2])
+        objective = _Objective(x, labels, self.K, active, lam)
+        w = rng.normal(scale=0.7, size=(active.size, self.P + 1))
+        return x, labels, active, objective, w
+
+    def _model(self, objective, w):
+        return MlrModel(*objective.to_original(w))
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_value_gradient_and_probabilities(self, lam):
+        x, labels, active, objective, w = self._instance(lam)
+        model = self._model(objective, w)
+        assert model.intercepts[1] == 0.0 and not model.coefficients[1].any()
+        expected = penalized_log_likelihood(model, x, labels, lam)
+        value, grad, probs = objective.value_grad_probs(w)
+        assert value == objective.value(w)
+        assert value == pytest.approx(expected, rel=1e-12)
+        # w maps to the original parameters through T per category, so the
+        # standardized gradient is the original one pushed through T'
+        original = penalized_gradient(model, x, labels, lam).reshape(self.K - 1, -1)
+        np.testing.assert_allclose(grad, original[active] @ objective.t, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            probs, class_probability_matrix(model, x)[:, active].T, rtol=1e-12, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_curvature_matches_finite_difference_hessian(self, lam):
+        _, _, _, objective, w = self._instance(lam)
+        _, _, probs = objective.value_grad_probs(w)
+        size, h = w.size, 1e-5
+        dense = np.empty((size, size))
+        products = np.empty((size, size))
+        for i in range(size):
+            step = np.zeros(size)
+            step[i] = h
+            up = objective.value_grad_probs(w + step.reshape(w.shape))[1]
+            down = objective.value_grad_probs(w - step.reshape(w.shape))[1]
+            dense[:, i] = -(up - down).ravel() / (2 * h)  # negative Hessian
+            products[:, i] = objective.curvature(probs, step.reshape(w.shape) / h).ravel()
+        assert np.max(np.abs(products - dense)) <= 1e-6 * np.max(np.abs(dense))
+        np.testing.assert_allclose(products, products.T, rtol=0, atol=1e-12)
 
 
 class TestPredictClass:

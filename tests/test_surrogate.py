@@ -342,6 +342,23 @@ class TestSurrogateForestPredict:
         )
         assert surrogate_forest_predict(sf, np.array([0.0])) == 3.0
 
+    @pytest.mark.parametrize("mode", ["expectation", "argmax"])
+    def test_overflowing_sum_of_finite_forecasts_stays_finite(self, mode):
+        # 1.5e308 + 1.5e308 overflows; their mean used to come out inf
+        surrogates = tuple(
+            TreeSurrogate(model=None, leaf_values=np.array([1.5e308]), prediction_mode=mode)
+            for _ in range(2)
+        )
+        config = ForestConfig(
+            subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
+        )
+        sf = SurrogateForest(
+            surrogates=surrogates, config=config, prediction_mode=mode, n_features=1
+        )
+        rows = np.array([[0.0], [1.0]])
+        np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, rows), 1.5e308)
+        assert surrogate_forest_predict(sf, rows[0]) == 1.5e308
+
     def test_stump_forest_squash_is_lossless(self):
         ds = gen_friedman1(200, 1.0, seed=12)
         config = ForestConfig(
