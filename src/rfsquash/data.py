@@ -3,6 +3,12 @@
 All features are continuous; categorical inputs must be encoded numerically
 before ingestion. Rows with missing or non-finite values are rejected, never
 imputed.
+
+The accepted CSV dialect is that of ``csv.reader`` with ``float`` on every
+cell. A file's body is parsed in one C pass (``np.loadtxt``); any file that
+pass does not reproduce exactly (blank lines, quoted cells, non-finite
+values and every malformed file among them) goes through the per-cell
+reader, so values and error messages are the same either way.
 """
 
 from __future__ import annotations
@@ -101,6 +107,10 @@ class SplitPair:
 def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a headered all-numeric CSV into (column names, value matrix).
 
+    The body is parsed in one C pass; a file that pass does not reproduce
+    exactly goes through the per-cell reader, which gives the same values and
+    raises every error below.
+
     Raises
     ------
     DataError
@@ -111,6 +121,52 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    parsed = _read_in_one_pass(path)
+    return parsed if parsed is not None else _read_per_cell(path)
+
+
+def _read_in_one_pass(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """The header through ``csv`` and the body through one ``np.loadtxt``, or
+    None unless that provably equals :func:`_read_per_cell`'s result.
+
+    ``loadtxt`` skips empty lines (one csv row each, an error), rejects
+    quotes, ``_`` and non-ASCII digits that ``float`` accepts, and reads
+    nan/inf; so the result counts only with one row per line, one column per
+    header name and every value finite. Both parsers round correctly, so
+    accepted values are bit-identical.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except UnicodeDecodeError:  # the per-cell reader raises it from its own offset
+        return None
+    # a body of blank lines would make loadtxt warn "input contained no data"
+    if header is None or not body or body.isspace():
+        return None
+    header = [name.strip() for name in header]
+    if len(set(header)) != len(header):
+        return None
+    # loadtxt takes each item as one line and rejects a \r anywhere but at an
+    # item's end; csv, which also ends lines at \r\n and a lone \r, then sees
+    # the same lines, less a last empty one
+    lines = body.split("\n")
+    # csv refuses a field past its size limit, which loadtxt would read
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    rows = len(lines) - (lines[-1] == "")
+    if values.shape != (rows, len(header)) or not np.isfinite(values).all():
+        return None
+    return header, values
+
+
+def _read_per_cell(path: Path) -> tuple[list[str], np.ndarray]:
+    """:func:`read_numeric_csv` one cell at a time through ``float``: the
+    fallback for files the one-pass parser does not accept, and its oracle."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -177,14 +233,13 @@ def write_csv(dataset: Dataset, path: str | Path, response_column: str = "y") ->
     Values are printed with 17 significant digits so that
     ``load_csv(write_csv(d))`` reproduces every float exactly.
     """
-    path = Path(path)
+    table = np.column_stack([dataset.features, dataset.responses]).tolist()
+    row = ",".join(["{:.17g}"] * (dataset.n_features + 1)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [response_column])
-        for i in range(dataset.n_rows):
-            cells = [f"{v:.17g}" for v in dataset.features[i]]
-            cells.append(f"{dataset.responses[i]:.17g}")
-            writer.writerow(cells)
+        csv.writer(fh).writerow(list(dataset.feature_names) + [response_column])
+        # the rows csv.writer would write: no cell needs quoting, and its
+        # line terminator is \r\n
+        fh.write("".join([row.format(*cells) for cells in table]))
 
 
 def gen_friedman1(n: int, noise_sd: float, seed: int) -> Dataset:

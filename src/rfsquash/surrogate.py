@@ -160,6 +160,10 @@ class _Stack(NamedTuple):
     # intercept; the intercept is 0 at base leaves and -inf on padding
     weights: np.ndarray
     leaf_values: np.ndarray  # (K_max, M, 1); 0 on padding
+    # whether the |leaf values| of some surrogate sum past half the largest
+    # float: only then can its expectation-mode sum of e * v (each e <= 1)
+    # overflow, so only then is the output checked
+    may_overflow: bool
 
 
 def _stack_surrogates(
@@ -177,7 +181,10 @@ def _stack_surrogates(
         if s.model is not None:
             weights[: k - 1, j, :-1] = s.model.coefficients
             weights[: k - 1, j, -1] = s.model.intercepts
-    return _Stack(weights.reshape(k_max * m, n_features + 1), leaf_values)
+    with np.errstate(over="ignore"):
+        sums = np.abs(leaf_values).sum(axis=0)
+    may_overflow = bool(sums.max() > np.finfo(np.float64).max / 2)
+    return _Stack(weights.reshape(k_max * m, n_features + 1), leaf_values, may_overflow)
 
 
 def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
@@ -221,7 +228,26 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
                 total = e.sum(axis=0)
                 e *= values[:, :, :b]
                 np.divide(e.sum(axis=0), total, out=out[:, rows])
+        if mode == "expectation" and stack.may_overflow and not np.isfinite(out).all():
+            _reweigh_overflowed(stack, x1, out)
     return out
+
+
+def _reweigh_overflowed(stack: _Stack, x1: np.ndarray, out: np.ndarray) -> None:
+    """Recompute in place, as sum((e / sum(e)) * v), the expectation-mode
+    entries of ``out`` that are not finite. Where the surrogate's leaf values
+    are finite, the sum of e * v overflowed before the division; the weights
+    sum to one, so the partial sums stay within max |v| up to the last
+    roundings, which are clipped. Where one is not, the entry comes out
+    non-finite again."""
+    k_max, m, _ = stack.leaf_values.shape
+    trees, rows = np.nonzero(~np.isfinite(out))
+    weights = stack.weights.reshape(k_max, m, -1)[:, trees]
+    e = _shifted_exp(np.einsum("kbj,bj->kb", weights, x1[rows]), axis=0)
+    e /= e.sum(axis=0)
+    values = stack.leaf_values[:, trees, 0]
+    top = np.abs(values).max(axis=0)
+    out[trees, rows] = np.clip((e * values).sum(axis=0), -top, top)
 
 
 def extract_leaf_dataset(

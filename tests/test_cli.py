@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface, invoked in-process."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -377,6 +378,55 @@ class TestEvaluateAndPredict:
         assert code == 0, err
         assert "Infinity" not in out
         assert json.loads(out)["predictions"] == [1.5e308, 1.5e308]
+
+    def test_overflowing_weighted_leaf_values_predict_finite(self, capsys, tmp_path):
+        # A zero 2-leaf model gives each leaf of 1.5e308 probability 1/2; the
+        # sum of e * v overflowed before the softmax division, and predict
+        # printed Infinity with exit 0.
+        surrogate = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.zeros((1, 1))),
+            leaf_values=np.array([1.5e308, 1.5e308]),
+            prediction_mode="expectation",
+        )
+        config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
+        model_path = tmp_path / "s.rfsq"
+        model_path.write_bytes(encode(SurrogateForest(
+            surrogates=(surrogate,), config=config, prediction_mode="expectation",
+            n_features=1,
+        )))
+        probe_csv = tmp_path / "probe.csv"
+        probe_csv.write_text("x1\n0.5\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(probe_csv))
+        assert code == 0, err
+        assert json.loads(out)["predictions"] == [1.5e308]
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (("--out",), "180cf2a91f9a7f32caa53563566c619c8097c5273a55a9c9f7b743e53e809a57"),
+            (("--format", "text"), "8e7a9b13482e2cde8662090f54c29466e3f45f16cd4d03f999c66a5238e2cecc"),
+            (("--format", "json"), "1622f03d37c9e60bb805de4eacb63763da35c6167beea7e214609294fd5f92d9"),
+        ],
+    )
+    def test_predict_output_bytes_are_pinned(self, capsys, tmp_path, flags, digest):
+        """SHA-256 of what predict writes for the pinned forest of
+        test_training_bytes_are_pinned (k=10) on 40 Friedman #1 rows, so that
+        any drift in the output format fails here."""
+        config = ForestConfig(
+            subsample_size=600, features_per_split=10, max_depth=8, n_trees=3, min_leaf=8,
+            seed=2024,
+        )
+        model_path = tmp_path / "f.rfsq"
+        model_path.write_bytes(encode(fit_forest(gen_friedman1(1000, 1.0, seed=7), config)))
+        probe_csv = tmp_path / "probe.csv"
+        write_csv(gen_friedman1(40, 0.0, seed=5), probe_csv)
+        out_csv = tmp_path / "pred.csv"
+        if flags == ("--out",):
+            flags = ("--out", str(out_csv))
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(probe_csv), *flags)
+        assert code == 0, err
+        written = out_csv.read_bytes() if out_csv.exists() else out.encode()
+        assert hashlib.sha256(written).hexdigest() == digest
 
     def test_leaf_counts_off_the_subsample_exit_2(self, capsys, tmp_path):
         # The stump's counts (1, 1) resealed as (1, 2) under subsample_size

@@ -1,15 +1,23 @@
 """Tests for dataset ingestion, generators, and splitting."""
 
+import csv
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfsquash.data import (
     Dataset,
+    _read_in_one_pass,
+    _read_per_cell,
     axis_cell_indices,
     friedman1_mean,
     gen_axis_partition,
     gen_friedman1,
     load_csv,
+    read_numeric_csv,
     split,
     write_csv,
 )
@@ -132,6 +140,126 @@ class TestLoadCsv:
         back = load_csv(path, "y")
         np.testing.assert_array_equal(back.responses, values)
         np.testing.assert_array_equal(back.features[:, 0], values)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,y\n1,2\n\n3,4\n", "row 2 has 0 fields, expected 2"),
+            ("a,y\r\n1,2\r\n3,4\r\n\r\n", "row 3 has 0 fields, expected 2"),
+            ("a,y\n1,2\n   \n", "row 2 has 1 fields, expected 2"),
+            ("a,y\n\n\n", "row 1 has 0 fields, expected 2"),
+            ("a,y\n1,2\n#3,4\n", "non-numeric value '#3' at row 2, column 'a'"),
+            ("a,y\n1,nan\n", "non-finite value 'nan' at row 1, column 'y'"),
+        ],
+    )
+    def test_lines_the_one_pass_would_misread_keep_their_errors(self, tmp_path, text, message):
+        # np.loadtxt skips blank lines (and warns when no other line is left)
+        # and reads nan; "#" would be a comment but for comments=None
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        assert _read_in_one_pass(path) is None
+        with pytest.raises(DataError) as info:
+            read_numeric_csv(path)
+        assert str(info.value) == message
+
+    def test_cell_past_the_csv_field_limit_is_still_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,y\n1,0." + "0" * csv.field_size_limit() + "5\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_numeric_csv(path)
+
+    @pytest.mark.parametrize("ended", [True, False])
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    def test_written_files_take_the_one_pass(self, tmp_path, newline, ended):
+        # lone \r line ends go through the per-cell reader
+        ds = gen_friedman1(25, 1.0, seed=4)
+        path = tmp_path / "w.csv"
+        write_csv(ds, path)
+        text = path.read_bytes().decode().replace("\r\n", newline)
+        path.write_text(text if ended else text[: -len(newline)], newline="")
+        header, values = _read_in_one_pass(path)
+        assert header == list(ds.feature_names) + ["y"]
+        assert values.tobytes() == np.column_stack([ds.features, ds.responses]).tobytes()
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        """SHA-256 of a write_csv file holding extreme magnitudes, -0.0 and a
+        subnormal, pinned so that any drift in the written format fails here."""
+        base = gen_friedman1(30, 1.0, seed=5)
+        extreme = np.array(
+            [1e-300, -1e300, 5e-324, -0.0, 0.1, 1 / 3, 2.0**53,
+             np.finfo(np.float64).max, -2.5e-8, 123456789.125] * 3
+        )
+        ds = Dataset(
+            base.responses,
+            np.column_stack([base.features, extreme]),
+            tuple(f"c{j}" for j in range(11)),
+        )
+        path = tmp_path / "w.csv"
+        write_csv(ds, path, response_column="target")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1a4e3d2b92c4fd07c107183051467b9c70b636ea3ae24265a3be44910b85f58d"
+        )
+
+
+_CELL_FORMS = (repr, "{:.17g}".format, "{:.3g}".format, "{:e}".format, " {} ".format)
+# float() reads the first three (to non-finite values), "1_000", the
+# full-width "12" and " 2.5\t"; np.loadtxt reads only the first three and
+# " 2.5\t". Neither reads the rest, though loadtxt would read "5#6" as 5 with
+# "#" as its comment mark.
+_ODD_CELLS = ("nan", "inf", "-Infinity", "1_000", "\uff11\uff12", '"1.5"', " 2.5\t",
+              "", "#3", "5#6", "0x10")
+_ODD_LINES = ("", "   ", "# comment", "1")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def _csv_texts(draw):
+    """A headered numeric CSV text with up to two injected oddities."""
+    width = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [
+        [draw(st.sampled_from(_CELL_FORMS))(draw(finite)) for _ in range(width)]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    lines = [",".join(f"c{j}" for j in range(width))]
+    lines[0] = draw(st.sampled_from(["", "\ufeff"])) + lines[0]
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from(["cell", "line", "ragged"]))
+        if kind == "cell":
+            cells = lines[at].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+            lines[at] = ",".join(cells)
+        elif kind == "line":
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+        else:
+            lines[at] = lines[at].rpartition(",")[0] if width > 1 else lines[at] + ",0"
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(_LINE_ENDS))] * len(lines)
+    else:
+        ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, path):
+    try:
+        header, values = read(path)
+    except DataError as exc:
+        return str(exc)
+    return header, values.shape, values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts())
+def test_read_numeric_csv_matches_the_per_cell_reader(tmp_path_factory, text):
+    """Whichever parser reads a file, the header and the values are those of
+    the per-cell reader, bit for bit, or the error message is its message."""
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(read_numeric_csv, path) == _outcome(_read_per_cell, path)
 
 
 class TestFriedman1:

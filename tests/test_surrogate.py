@@ -232,6 +232,18 @@ class TestSurrogatePredict:
         predictions = surrogate_predict_batch(surrogate, np.array([[1e10], [-1e10]]))
         np.testing.assert_array_equal(predictions, [1.0, 2.0])
 
+    def test_overflowing_weighted_leaf_values_stay_finite(self):
+        # each leaf gets probability 1/2; e * v used to be summed to 3e308
+        # before the division by the softmax total, giving inf
+        surrogate = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.zeros((1, 1))),
+            leaf_values=np.array([1.5e308, 1.5e308]),
+            prediction_mode="expectation",
+        )
+        rows = np.array([[0.5], [-2.0]])
+        np.testing.assert_array_equal(surrogate_predict_batch(surrogate, rows), 1.5e308)
+        assert surrogate_predict(surrogate, rows[0]) == 1.5e308
+
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="prediction_mode"):
             TreeSurrogate(
@@ -358,6 +370,40 @@ class TestSurrogateForestPredict:
         rows = np.array([[0.0], [1.0]])
         np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, rows), 1.5e308)
         assert surrogate_forest_predict(sf, rows[0]) == 1.5e308
+
+    @pytest.mark.parametrize(
+        "leaf_values, expected",
+        [
+            ([1.5e308, 0.5e308], 1.0e308),
+            # eleven weights of fl(1/11) sum past one: the clip keeps the largest float
+            ([np.finfo(np.float64).max] * 11, np.finfo(np.float64).max),
+        ],
+    )
+    def test_overflowing_weighted_leaf_values_leave_other_trees_alone(
+        self, leaf_values, expected
+    ):
+        # Only the overflowing surrogate is reweighed; the other surrogate's
+        # forecasts enter the mean bit for bit.
+        k = len(leaf_values)
+        big = TreeSurrogate(
+            model=MlrModel(np.zeros(k - 1), np.zeros((k - 1, 1))),
+            leaf_values=np.array(leaf_values),
+            prediction_mode="expectation",
+        )
+        small = TreeSurrogate(
+            model=MlrModel(np.array([0.3]), np.array([[2.0]])),
+            leaf_values=np.array([1.0, 5.0]),
+            prediction_mode="expectation",
+        )
+        config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=2, n_trees=2)
+        sf = SurrogateForest(
+            surrogates=(big, small), config=config, prediction_mode="expectation",
+            n_features=1,
+        )
+        rows = np.array([[0.5], [-2.0], [0.125]])
+        want = (expected + surrogate_predict_batch(small, rows)) / 2
+        np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, rows), want)
+        assert surrogate_forest_predict(sf, rows[2]) == want[2]
 
     def test_stump_forest_squash_is_lossless(self):
         ds = gen_friedman1(200, 1.0, seed=12)
