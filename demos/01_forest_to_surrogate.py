@@ -47,10 +47,10 @@ print(f"forest: {forest.n_trees} trees, leaf counts "
 
 tree = forest.trees[0]
 rows = rederive_subsamples(forest)[0]  # the seeded draw tree 0 was fitted on
-leaf_data = extract_leaf_dataset(tree, data, rows)
-print(f"\ntree 0 has K={leaf_data.n_leaves} leaves; its subsample of "
+leaf_features, leaf_labels = extract_leaf_dataset(tree, data, rows)
+print(f"\ntree 0 has K={tree.n_leaves} leaves; its subsample of "
       f"{len(rows)} rows splits into")
-print("  per-leaf counts:", np.bincount(leaf_data.labels, minlength=tree.n_leaves))
+print("  per-leaf counts:", np.bincount(leaf_labels, minlength=tree.n_leaves))
 print("  (identical to the tree's stored counts:", tree.leaf_counts, ")")
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,8 @@ squashed = squash_forest(forest, data, fit_config, prediction_mode="expectation"
 # tree did? Depth-1 trees are linearly separable (always recoverable); deeper
 # trees are only approximated.
 surrogate = squashed.surrogates[0]
-routed = traverse_batch(tree, leaf_data.features)
-probs = class_probability_matrix(surrogate.model, leaf_data.features)
+routed = traverse_batch(tree, leaf_features)
+probs = class_probability_matrix(surrogate.model, leaf_features)
 agreement = np.mean(np.argmax(probs, axis=1) == routed)
 print(f"\nsurrogate 0 routes {agreement:.1%} of its training rows to the "
       f"same leaf as tree 0")

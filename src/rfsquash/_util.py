@@ -34,10 +34,8 @@ def derive_seed(*keys: int) -> int:
     return (int(a) << 32) | int(b)
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker count: explicit argument, else RFSQ_THREADS, else 1."""
-    if explicit is not None:
-        return max(1, explicit)
+def thread_count() -> int:
+    """The worker count: RFSQ_THREADS, else 1."""
     raw = os.environ.get("RFSQ_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -45,9 +43,9 @@ def thread_count(explicit: int | None = None) -> int:
         return 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], n_jobs: int | None = None) -> list[R]:
-    """Map fn over items, preserving input order regardless of worker count."""
-    jobs = thread_count(n_jobs)
+def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Map fn over items on thread_count() workers, preserving input order."""
+    jobs = thread_count()
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -21,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _util, codec
+from . import codec
 from .data import Dataset, gen_axis_partition, gen_friedman1, load_csv, read_numeric_csv, split
 from .errors import CodecError, DataError, NumericError
 from .forest import Forest, ForestConfig, fit_forest, forest_predict_batch
@@ -31,7 +32,6 @@ from .surrogate import (
     SurrogateForest,
     squash_forest,
     surrogate_forest_predict_batch,
-    with_prediction_mode,
 )
 
 REPORT_VERSION = 1
@@ -261,7 +261,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     read_seconds = time.perf_counter() - t0
     config = _forest_config(args, dataset, args.d, args.m)
     t0 = time.perf_counter()
-    forest = fit_forest(dataset, config, n_jobs=_util.thread_count())
+    forest = fit_forest(dataset, config)
     train_seconds = time.perf_counter() - t0
     blob = codec.encode(forest, args.float)
     Path(args.out).write_bytes(blob)
@@ -296,13 +296,7 @@ def cmd_squash(args: argparse.Namespace) -> int:
     read_seconds = time.perf_counter() - t0
     fit_config = _fit_config(args, args.l2)
     t0 = time.perf_counter()
-    sf = squash_forest(
-        forest,
-        dataset,
-        fit_config,
-        prediction_mode=args.mode,
-        n_jobs=_util.thread_count(),
-    )
+    sf = squash_forest(forest, dataset, fit_config, prediction_mode=args.mode)
     squash_seconds = time.perf_counter() - t0
     blob = codec.encode(sf, args.float)
     Path(args.out).write_bytes(blob)
@@ -441,23 +435,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if key not in forests:
                 config = _forest_config(args, train, depth, n_trees)
                 t0 = time.perf_counter()
-                forest = fit_forest(train, config, n_jobs=_util.thread_count())
+                forest = fit_forest(train, config)
                 forests[key] = (forest, time.perf_counter() - t0)
             forest, train_seconds = forests[key]
 
             skey = (depth, n_trees, lam)
             if skey not in squashed:
                 t0 = time.perf_counter()
-                fitted = squash_forest(
-                    forest,
-                    train,
-                    _fit_config(args, lam),
-                    prediction_mode=mode,
-                    n_jobs=_util.thread_count(),
-                )
+                fitted = squash_forest(forest, train, _fit_config(args, lam))
                 squashed[skey] = (fitted, time.perf_counter() - t0)
             sf, squash_seconds = squashed[skey]
-            sf = with_prediction_mode(sf, mode)
+            sf = dataclasses.replace(sf, prediction_mode=mode)
 
             forest_pred, forest_per_1k = _timed_predictions(forest, test.features)
             sf_pred, sf_per_1k = _timed_predictions(sf, test.features)

@@ -210,6 +210,7 @@ def _encode_surrogate_payload(sf: SurrogateForest, width: int) -> bytes:
     out = bytearray()
     out += _encode_config(sf.config)
     out += struct.pack("<I", sf.n_features)
+    mode_byte = struct.pack("<B", _MODE_CODE[sf.prediction_mode])
     for s in sf.surrogates:
         k = s.n_leaves
         out += struct.pack("<I", k)
@@ -219,7 +220,7 @@ def _encode_surrogate_payload(sf: SurrogateForest, width: int) -> bytes:
             ).ravel()
             out += _pack_floats(params, width)
         out += _pack_floats(s.leaf_values, width)
-        out += struct.pack("<B", _MODE_CODE[s.prediction_mode])
+        out += mode_byte  # every tree repeats the ensemble's mode
     return bytes(out)
 
 
@@ -228,6 +229,7 @@ def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
     (p,) = struct.unpack("<I", cur.take(4))
     width = cur.width
     surrogates = []
+    modes = set()
     for _ in range(config.n_trees):
         k = cur.u32()
         if k < 1:
@@ -240,14 +242,8 @@ def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
         mode_code = cur.u8()
         if mode_code not in _MODE_NAME:
             raise CodecError(f"unknown prediction-mode code {mode_code}")
-        surrogates.append(
-            TreeSurrogate(
-                model=model,
-                leaf_values=values,
-                prediction_mode=_MODE_NAME[mode_code],
-            )
-        )
-    modes = {s.prediction_mode for s in surrogates}
+        modes.add(_MODE_NAME[mode_code])
+        surrogates.append(TreeSurrogate(model=model, leaf_values=values))
     if len(modes) != 1:
         raise CodecError(f"surrogate trees mix prediction modes {sorted(modes)}")
     return SurrogateForest(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,7 +115,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     Raises
     ------
     DataError
-        Missing file, empty file, duplicate header names, ragged row, or a
+        Missing file, a file that is not UTF-8 (the error names the byte
+        offset), a field past ``csv.field_size_limit()`` (the error names the
+        line), empty file, duplicate header names, ragged row, or a
         non-numeric / non-finite cell (the error names the offending 1-based
         data row and the column).
     """
@@ -139,7 +142,7 @@ def _read_in_one_pass(path: Path) -> tuple[list[str], np.ndarray] | None:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             body = fh.read()
-    except UnicodeDecodeError:  # the per-cell reader raises it from its own offset
+    except (UnicodeDecodeError, csv.Error):  # the per-cell reader raises these
         return None
     # a body of blank lines would make loadtxt warn "input contained no data"
     if header is None or not body or body.isspace():
@@ -164,40 +167,56 @@ def _read_in_one_pass(path: Path) -> tuple[list[str], np.ndarray] | None:
     return header, values
 
 
+def _csv_rows(path: Path):
+    """The rows of a CSV file through ``csv.reader``. A file that is not UTF-8
+    or holds a field past ``csv.field_size_limit()`` raises DataError."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{exc} at line {reader.line_num} of {path}") from None
+
+
 def _read_per_cell(path: Path) -> tuple[list[str], np.ndarray]:
     """:func:`read_numeric_csv` one cell at a time through ``float``: the
     fallback for files the one-pass parser does not accept, and its oracle."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        header = [name.strip() for name in header]
-        if len(set(header)) != len(header):
-            raise DataError(f"duplicate column names in header of {path}")
-        rows: list[list[float]] = []
-        for row_no, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty file: {path}") from None
+    header = [name.strip() for name in header]
+    if len(set(header)) != len(header):
+        raise DataError(f"duplicate column names in header of {path}")
+    rows: list[list[float]] = []
+    for row_no, raw in enumerate(reader, start=1):
+        if len(raw) != len(header):
+            raise DataError(
+                f"row {row_no} has {len(raw)} fields, expected {len(header)}"
+            )
+        parsed = []
+        for col_idx, cell in enumerate(raw):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"row {row_no} has {len(raw)} fields, expected {len(header)}"
+                    f"non-numeric value {cell.strip()!r} at row {row_no}, "
+                    f"column {header[col_idx]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"non-finite value {cell.strip()!r} at row {row_no}, "
+                    f"column {header[col_idx]!r}"
                 )
-            parsed = []
-            for col_idx, cell in enumerate(raw):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell.strip()!r} at row {row_no}, "
-                        f"column {header[col_idx]!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"non-finite value {cell.strip()!r} at row {row_no}, "
-                        f"column {header[col_idx]!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise DataError(f"no data rows in {path}")
     return header, np.array(rows, dtype=np.float64)

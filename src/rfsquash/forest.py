@@ -385,14 +385,12 @@ def tree_predict_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return tree.leaf_values[traverse_batch(tree, x)]
 
 
-def fit_forest(
-    dataset: Dataset, config: ForestConfig, n_jobs: int | None = None
-) -> Forest:
+def fit_forest(dataset: Dataset, config: ForestConfig) -> Forest:
     """Fit config.n_trees trees, each on its own without-replacement subsample.
 
     Fully deterministic in config.seed: per-tree subsamples and per-node
     feature draws use independent streams keyed on the tree index, so results
-    are identical for any worker count.
+    are identical for any worker count (``RFSQ_THREADS``).
     """
     config.validate_against(dataset)
 
@@ -401,7 +399,7 @@ def fit_forest(
         tree_seed = _util.derive_seed(config.seed, m, _util.TREE_STREAM)
         return fit_tree(dataset, rows, config, tree_seed)
 
-    trees = _util.parallel_map(fit_one, range(config.n_trees), n_jobs)
+    trees = _util.parallel_map(fit_one, range(config.n_trees))
     return Forest(
         trees=tuple(trees),
         config=config,

@@ -7,7 +7,9 @@ that routes inputs to leaves by probability instead of by threshold tests.
 The tree structure is then discarded: a surrogate stores only (K-1)(p+1)
 regression parameters plus the K leaf values, independent of sample size.
 
-Two prediction modes realize the surrogate forecast:
+Two prediction modes realize the surrogate forecast. The mode belongs to the
+ensemble, not to a tree: it is held once, on :class:`SurrogateForest`, and a
+lone :class:`TreeSurrogate` is predicted in a mode passed with it.
 
 * ``argmax``: the leaf value of the most probable leaf (hard routing, mimics
   the tree).
@@ -31,7 +33,7 @@ row count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -54,21 +56,6 @@ _CELLS = 2**16
 
 
 @dataclass(frozen=True)
-class LeafDataset:
-    """Per-tree multinomial training data: features plus leaf-index labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    n_leaves: int
-
-    def __post_init__(self) -> None:
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ValueError("labels and features must have equal row counts")
-        if self.labels.size and int(self.labels.max()) >= self.n_leaves:
-            raise ValueError("leaf label out of range")
-
-
-@dataclass(frozen=True)
 class TreeSurrogate:
     """A tree replacement: leaf-routing MLR plus the original leaf values.
 
@@ -79,18 +66,12 @@ class TreeSurrogate:
 
     model: Optional[MlrModel]
     leaf_values: np.ndarray
-    prediction_mode: str
     converged: bool = True
 
     def __post_init__(self) -> None:
         leaf_values = np.ascontiguousarray(self.leaf_values, dtype=np.float64)
         leaf_values.setflags(write=False)
         object.__setattr__(self, "leaf_values", leaf_values)
-        if self.prediction_mode not in PREDICTION_MODES:
-            raise ValueError(
-                f"prediction_mode must be one of {PREDICTION_MODES}, "
-                f"got {self.prediction_mode!r}"
-            )
         k = leaf_values.shape[0]
         if k < 1:
             raise ValueError("surrogate needs at least one leaf value")
@@ -109,8 +90,8 @@ class TreeSurrogate:
 
 @dataclass(frozen=True)
 class SurrogateForest:
-    """The squashed ensemble: one surrogate per source tree. Every leaf value
-    is finite."""
+    """The squashed ensemble: one surrogate per source tree, all predicted in
+    the ensemble's ``prediction_mode``. Every leaf value is finite."""
 
     surrogates: tuple[TreeSurrogate, ...]
     config: ForestConfig
@@ -123,16 +104,10 @@ class SurrogateForest:
                 f"{len(self.surrogates)} surrogates for config.n_trees="
                 f"{self.config.n_trees}"
             )
-        if self.prediction_mode not in PREDICTION_MODES:
-            raise ValueError(f"bad prediction_mode {self.prediction_mode!r}")
+        _check_mode(self.prediction_mode)
         if self.n_features < 1:
             raise ValueError("surrogate forest must record a positive feature count")
         for s in self.surrogates:
-            if s.prediction_mode != self.prediction_mode:
-                raise ValueError(
-                    f"surrogate predicts in {s.prediction_mode!r} mode, forest "
-                    f"declares {self.prediction_mode!r}"
-                )
             if s.model is not None and s.model.n_features != self.n_features:
                 raise ValueError(
                     f"surrogate model has {s.model.n_features} features, "
@@ -151,6 +126,11 @@ class SurrogateForest:
         """The leaf-major prediction stack, built on first predict; it is not
         a field, so it is neither compared nor serialized."""
         return _stack_surrogates(self.surrogates, self.n_features)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in PREDICTION_MODES:
+        raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}, got {mode!r}")
 
 
 class _Stack(NamedTuple):
@@ -252,8 +232,9 @@ def _reweigh_overflowed(stack: _Stack, x1: np.ndarray, out: np.ndarray) -> None:
 
 def extract_leaf_dataset(
     tree: DecisionTree, dataset: Dataset, rows: np.ndarray
-) -> LeafDataset:
-    """Rebuild the tree's leaf allocation as a labeled multinomial dataset.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild the tree's leaf allocation as a labeled multinomial dataset:
+    the rows' features and their leaf indices, in ``[0, tree.n_leaves)``.
 
     The label histogram must reproduce the tree's stored leaf counts; a
     mismatch means the rows are not the ones the tree was fitted on.
@@ -272,7 +253,7 @@ def extract_leaf_dataset(
             "leaf-label histogram does not match the tree's stored leaf counts; "
             "the given rows are not the tree's training subsample"
         )
-    return LeafDataset(features=features, labels=labels, n_leaves=tree.n_leaves)
+    return features, labels
 
 
 def fit_surrogate(
@@ -280,7 +261,6 @@ def fit_surrogate(
     dataset: Dataset,
     rows: np.ndarray,
     config: MlrFitConfig,
-    prediction_mode: str = "expectation",
 ) -> TreeSurrogate:
     """Fit the multinomial surrogate of one tree on its own training subsample.
 
@@ -288,34 +268,30 @@ def fit_surrogate(
     Single-leaf trees skip model fitting entirely.
     """
     if tree.n_leaves == 1:
-        return TreeSurrogate(
-            model=None,
-            leaf_values=tree.leaf_values.copy(),
-            prediction_mode=prediction_mode,
-            converged=True,
-        )
-    leaf_data = extract_leaf_dataset(tree, dataset, rows)
-    result = fit_mlr(leaf_data.features, leaf_data.labels, leaf_data.n_leaves, config)
+        return TreeSurrogate(model=None, leaf_values=tree.leaf_values.copy())
+    features, labels = extract_leaf_dataset(tree, dataset, rows)
+    result = fit_mlr(features, labels, tree.n_leaves, config)
     return TreeSurrogate(
-        model=result.model,
-        leaf_values=tree.leaf_values.copy(),
-        prediction_mode=prediction_mode,
-        converged=result.converged,
+        model=result.model, leaf_values=tree.leaf_values.copy(), converged=result.converged
     )
 
 
-def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray) -> float:
-    """Forecast of one surrogate at one feature vector x, per its prediction mode."""
-    return float(surrogate_predict_batch(surrogate, x)[0])
+def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray, mode: str) -> float:
+    """Forecast of one surrogate at one feature vector x in the given mode."""
+    return float(surrogate_predict_batch(surrogate, x, mode)[0])
 
 
-def surrogate_predict_batch(surrogate: TreeSurrogate, x: np.ndarray) -> np.ndarray:
-    """Forecasts of one surrogate at every row of x. A single-leaf surrogate
-    has no model to fix the feature count, so it takes any width."""
+def surrogate_predict_batch(
+    surrogate: TreeSurrogate, x: np.ndarray, mode: str
+) -> np.ndarray:
+    """Forecasts of one surrogate at every row of x in the given mode. A
+    single-leaf surrogate has no model to fix the feature count, so it takes
+    any width."""
+    _check_mode(mode)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     p = surrogate.model.n_features if surrogate.model is not None else x.shape[1]
     stack = _stack_surrogates((surrogate,), p)
-    return _per_tree_predictions(stack, x, surrogate.prediction_mode)[0]
+    return _per_tree_predictions(stack, x, mode)[0]
 
 
 def squash_forest(
@@ -323,7 +299,6 @@ def squash_forest(
     dataset: Dataset,
     config: MlrFitConfig,
     prediction_mode: str = "expectation",
-    n_jobs: int | None = None,
 ) -> SurrogateForest:
     """Replace every tree in the forest with its fitted surrogate.
 
@@ -332,8 +307,7 @@ def squash_forest(
     the original training data, which is checked against the stored row
     count and fingerprint.
     """
-    if prediction_mode not in PREDICTION_MODES:
-        raise ValueError(f"bad prediction_mode {prediction_mode!r}")
+    _check_mode(prediction_mode)
     if forest.dataset_rows != dataset.n_rows:
         raise DataError(
             f"forest was trained on {forest.dataset_rows} rows, dataset has "
@@ -347,27 +321,14 @@ def squash_forest(
     row_ids = rederive_subsamples(forest)
 
     def squash_one(m: int) -> TreeSurrogate:
-        return fit_surrogate(forest.trees[m], dataset, row_ids[m], config, prediction_mode)
+        return fit_surrogate(forest.trees[m], dataset, row_ids[m], config)
 
-    surrogates = _util.parallel_map(squash_one, range(forest.n_trees), n_jobs)
+    surrogates = _util.parallel_map(squash_one, range(forest.n_trees))
     return SurrogateForest(
         surrogates=tuple(surrogates),
         config=forest.config,
         prediction_mode=prediction_mode,
         n_features=dataset.n_features,
-    )
-
-
-def with_prediction_mode(sf: SurrogateForest, mode: str) -> SurrogateForest:
-    """The same squashed ensemble, predicting in the given mode.
-
-    Mode only affects how fitted probabilities turn into forecasts, so no
-    refitting happens; the fitted models are shared.
-    """
-    return replace(
-        sf,
-        surrogates=tuple(replace(s, prediction_mode=mode) for s in sf.surrogates),
-        prediction_mode=mode,
     )
 
 

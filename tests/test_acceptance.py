@@ -9,6 +9,7 @@ them is deterministic given the seed, so the tolerances only absorb
 environment drift (BLAS versions, hardware).
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -47,7 +48,6 @@ from rfsquash.surrogate import (
     fit_surrogate,
     squash_forest,
     surrogate_forest_predict_batch,
-    with_prediction_mode,
 )
 
 PILOT_SEED = 1729
@@ -329,11 +329,11 @@ def test_criterion_6_size_accuracy_tradeoff():
         baseline_points = []  # (bytes_f64, rmse) over the (d, M') parameter grid
         for depth in (3, 5, 8):
             config = ForestConfig(max_depth=depth, **PILOT_FOREST)
-            forest = fit_forest(train, config, n_jobs=1)
-            squashed = squash_forest(forest, train, PILOT_FIT, n_jobs=1)
+            forest = fit_forest(train, config)
+            squashed = squash_forest(forest, train, PILOT_FIT)
             assert all(s.converged for s in squashed.surrogates)
-            exp = with_prediction_mode(squashed, "expectation")
-            arg = with_prediction_mode(squashed, "argmax")
+            exp = dataclasses.replace(squashed, prediction_mode="expectation")
+            arg = dataclasses.replace(squashed, prediction_mode="argmax")
             cell = {
                 "forest_rmse": rmse(forest_predict_batch(forest, test.features)),
                 "surrogate_rmse_expectation": rmse(

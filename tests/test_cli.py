@@ -66,7 +66,6 @@ def _stump_models():
     surrogate = TreeSurrogate(
         model=MlrModel(np.array([3.0]), np.array([[-8.0]])),
         leaf_values=np.array([1.25, 2.5]),
-        prediction_mode="expectation",
     )
     sf = SurrogateForest(
         surrogates=(surrogate,), config=config, prediction_mode="expectation",
@@ -313,7 +312,6 @@ class TestEvaluateAndPredict:
         surrogate = TreeSurrogate(
             model=MlrModel(np.zeros(1), np.array([[1e300]])),
             leaf_values=np.array([1.0, 2.0]),
-            prediction_mode="expectation",
         )
         config = ForestConfig(
             subsample_size=1, features_per_split=1, max_depth=1, n_trees=1
@@ -366,8 +364,7 @@ class TestEvaluateAndPredict:
             model = Forest(trees=(leaf, leaf), config=config, dataset_rows=2,
                            dataset_fingerprint=0, n_features=1)
         else:
-            leaf = TreeSurrogate(model=None, leaf_values=np.array([1.5e308]),
-                                 prediction_mode="expectation")
+            leaf = TreeSurrogate(model=None, leaf_values=np.array([1.5e308]))
             model = SurrogateForest(surrogates=(leaf, leaf), config=config,
                                     prediction_mode="expectation", n_features=1)
         model_path = tmp_path / "m.rfsq"
@@ -386,7 +383,6 @@ class TestEvaluateAndPredict:
         surrogate = TreeSurrogate(
             model=MlrModel(np.zeros(1), np.zeros((1, 1))),
             leaf_values=np.array([1.5e308, 1.5e308]),
-            prediction_mode="expectation",
         )
         config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
         model_path = tmp_path / "s.rfsq"
@@ -448,6 +444,36 @@ class TestEvaluateAndPredict:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert "leaf counts sum to 3" in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_csv_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        # UnicodeDecodeError is a ValueError, which main reports as a usage
+        # error; the reader turns it into a data error naming the byte
+        forest, _ = _stump_models()
+        model_path = tmp_path / "m.rfsq"
+        model_path.write_bytes(encode(forest))
+        data = b"x1,y\n0.25,1\n0.75,2\xff\n"
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_bytes(data)
+        code, out, err = run_cli(capsys, command, str(model_path), str(data_csv))
+        assert (code, out) == (2, "")
+        offset = data.index(b"\xff")
+        assert err == f"data error: {data_csv} is not UTF-8: byte 0xff at offset {offset}\n"
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_field_past_the_csv_limit_exits_2(self, capsys, tmp_path, command, line):
+        # a 140000-character column name (line 1) or number (line 2)
+        forest, _ = _stump_models()
+        model_path = tmp_path / "m.rfsq"
+        model_path.write_bytes(encode(forest))
+        text = {1: "x" * 140000 + ",y\n0.25,1\n", 2: "x1,y\n0." + "0" * 140000 + "5,1\n"}
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text(text[line])
+        code, out, err = run_cli(capsys, command, str(model_path), str(data_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: field larger than field limit")
+        assert f"at line {line} of {data_csv}" in err
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "evaluate", str(tmp_path / "none.rfsq"),

@@ -80,7 +80,6 @@ def _manual_surrogate(k, p, mode="expectation", scale=1.0, m=1):
                 else None
             ),
             leaf_values=rng.normal(size=k),
-            prediction_mode=mode,
         )
         for _ in range(m)
     )
@@ -257,19 +256,7 @@ class TestDecodeErrors:
 
     def test_mode_bytes_are_the_only_difference(self):
         base = _random_surrogate(14)
-        flipped = SurrogateForest(
-            surrogates=tuple(
-                TreeSurrogate(
-                    model=s.model,
-                    leaf_values=s.leaf_values,
-                    prediction_mode="argmax",
-                )
-                for s in base.surrogates
-            ),
-            config=base.config,
-            prediction_mode="argmax",
-            n_features=base.n_features,
-        )
+        flipped = dataclasses.replace(base, prediction_mode="argmax")
         a = encode(base, "f64")
         b = encode(flipped, "f64")
         assert len(a) == len(b)

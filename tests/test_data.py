@@ -165,8 +165,25 @@ class TestLoadCsv:
     def test_cell_past_the_csv_field_limit_is_still_refused(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,y\n1,0." + "0" * csv.field_size_limit() + "5\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(DataError, match=r"field larger than field limit \(\d+\) at line 2"):
             read_numeric_csv(path)
+
+    def test_header_name_past_the_csv_field_limit_is_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a" * (csv.field_size_limit() + 1) + ",y\n1,2\n")
+        with pytest.raises(DataError, match=r"field larger than field limit \(\d+\) at line 1"):
+            read_numeric_csv(path)
+
+    def test_file_that_is_not_utf8_names_the_byte_offset(self, tmp_path):
+        # past the text reader's decoding chunk, whose own offsets restart
+        path = tmp_path / "t.csv"
+        data = b"a,y\n" + b"0.125,0.5\n" * 1000 + b"1,2\xff\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        assert offset > 8192
+        with pytest.raises(DataError) as info:
+            read_numeric_csv(path)
+        assert str(info.value) == f"{path} is not UTF-8: byte 0xff at offset {offset}"
 
     @pytest.mark.parametrize("ended", [True, False])
     @pytest.mark.parametrize("newline", ["\r\n", "\n"])

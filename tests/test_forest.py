@@ -573,13 +573,15 @@ class TestFitForest:
         for ra, rb in zip(rederive_subsamples(a), rederive_subsamples(b)):
             np.testing.assert_array_equal(ra, rb)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
         ds = gen_friedman1(80, 1.0, seed=1)
         config = ForestConfig(
             subsample_size=40, features_per_split=4, max_depth=3, n_trees=6, seed=3
         )
-        a = fit_forest(ds, config, n_jobs=1)
-        b = fit_forest(ds, config, n_jobs=4)
+        monkeypatch.setenv("RFSQ_THREADS", "1")
+        a = fit_forest(ds, config)
+        monkeypatch.setenv("RFSQ_THREADS", "4")
+        b = fit_forest(ds, config)
         for ta, tb in zip(a.trees, b.trees):
             np.testing.assert_array_equal(ta.split_thresholds, tb.split_thresholds)
             np.testing.assert_array_equal(ta.leaf_values, tb.leaf_values)

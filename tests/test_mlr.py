@@ -328,10 +328,11 @@ class TestFitMlr:
             min_leaf=2, seed=5,
         )
         forest = fit_forest(ds, config)
-        leaves = extract_leaf_dataset(forest.trees[0], ds, rederive_subsamples(forest)[0])
-        active = np.count_nonzero(np.bincount(leaves.labels)[: leaves.n_leaves - 1])
+        tree = forest.trees[0]
+        features, labels = extract_leaf_dataset(tree, ds, rederive_subsamples(forest)[0])
+        active = np.count_nonzero(np.bincount(labels)[: tree.n_leaves - 1])
         assert active * (ds.n_features + 1) > 2000
-        result = fit_mlr(leaves.features, leaves.labels, leaves.n_leaves, MlrFitConfig())
+        result = fit_mlr(features, labels, tree.n_leaves, MlrFitConfig())
         assert result.converged
         assert result.grad_max_norm <= MlrFitConfig().gradient_tolerance
 

@@ -46,23 +46,23 @@ class TestExtractLeafDataset:
     def test_single_leaf_tree_all_zero_labels(self):
         ds = gen_friedman1(30, 1.0, seed=0)
         tree, rows = _fitted_tree(ds, depth=0)
-        leaf_data = extract_leaf_dataset(tree, ds, rows)
-        np.testing.assert_array_equal(leaf_data.labels, 0)
-        assert leaf_data.n_leaves == 1
+        features, labels = extract_leaf_dataset(tree, ds, rows)
+        np.testing.assert_array_equal(labels, 0)
+        np.testing.assert_array_equal(features, ds.features)
 
     def test_depth_one_labels_are_side_indicator(self):
         ds = gen_axis_partition(200, [(0, 0.5)], [2.0, 4.0], seed=1)
         tree, rows = _fitted_tree(ds, depth=1)
-        leaf_data = extract_leaf_dataset(tree, ds, rows)
+        _, labels = extract_leaf_dataset(tree, ds, rows)
         expected = (ds.features[:, 0] > tree.split_thresholds[0]).astype(int)
-        np.testing.assert_array_equal(leaf_data.labels, expected)
+        np.testing.assert_array_equal(labels, expected)
 
     def test_histogram_matches_stored_counts(self):
         ds = gen_friedman1(150, 1.0, seed=2)
         tree, rows = _fitted_tree(ds, depth=4, min_leaf=3)
-        leaf_data = extract_leaf_dataset(tree, ds, rows)
+        _, labels = extract_leaf_dataset(tree, ds, rows)
         np.testing.assert_array_equal(
-            np.bincount(leaf_data.labels, minlength=tree.n_leaves), tree.leaf_counts
+            np.bincount(labels, minlength=tree.n_leaves), tree.leaf_counts
         )
 
     def test_wrong_row_count_rejected(self):
@@ -87,14 +87,12 @@ class TestFitSurrogate:
     def test_single_leaf_constant_in_both_modes(self):
         ds = gen_friedman1(20, 0.0, seed=5)
         tree, rows = _fitted_tree(ds, depth=0)
+        surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
+        assert surrogate.model is None
+        value = tree.leaf_values[0]
         for mode in ("argmax", "expectation"):
-            surrogate = fit_surrogate(
-                tree, ds, rows, MlrFitConfig(), prediction_mode=mode
-            )
-            assert surrogate.model is None
-            value = tree.leaf_values[0]
             for x in ds.features[:5]:
-                assert surrogate_predict(surrogate, x) == value
+                assert surrogate_predict(surrogate, x, mode) == value
 
     def test_depth_one_separable_recovery(self):
         ds = gen_axis_partition(400, [(0, 0.5)], [2.0, 4.0], seed=6)
@@ -178,18 +176,16 @@ class TestSurrogatePredict:
         surrogate = TreeSurrogate(
             model=MlrModel(np.zeros(1), np.zeros((1, 1))),
             leaf_values=np.array([2.0, 4.0]),
-            prediction_mode="expectation",
         )
-        assert surrogate_predict(surrogate, np.array([0.7])) == pytest.approx(3.0)
+        assert surrogate_predict(surrogate, np.array([0.7]), "expectation") == pytest.approx(3.0)
 
     def test_argmax_takes_most_probable_leaf(self):
         # intercept ln 9 puts theta = (0.9, 0.1)
         surrogate = TreeSurrogate(
             model=MlrModel(np.array([np.log(9.0)]), np.zeros((1, 1))),
             leaf_values=np.array([2.0, 4.0]),
-            prediction_mode="argmax",
         )
-        assert surrogate_predict(surrogate, np.array([0.0])) == 2.0
+        assert surrogate_predict(surrogate, np.array([0.0]), "argmax") == 2.0
 
     def test_expectation_is_convex_combination(self):
         rng = np.random.default_rng(10)
@@ -201,10 +197,9 @@ class TestSurrogatePredict:
                     rng.normal(scale=3, size=k - 1), rng.normal(scale=3, size=(k - 1, p))
                 ),
                 leaf_values=rng.normal(scale=10, size=k),
-                prediction_mode="expectation",
             )
             x = rng.normal(size=p)
-            value = surrogate_predict(surrogate, x)
+            value = surrogate_predict(surrogate, x, "expectation")
             assert surrogate.leaf_values.min() - 1e-12 <= value
             assert value <= surrogate.leaf_values.max() + 1e-12
 
@@ -213,11 +208,10 @@ class TestSurrogatePredict:
         surrogate = TreeSurrogate(
             model=MlrModel(rng.normal(size=2), rng.normal(size=(2, 3))),
             leaf_values=np.array([1.0, 5.0, 9.0]),
-            prediction_mode="expectation",
         )
         x = rng.normal(size=(20, 3))
-        batch = surrogate_predict_batch(surrogate, x)
-        scalar = np.array([surrogate_predict(surrogate, row) for row in x])
+        batch = surrogate_predict_batch(surrogate, x, "expectation")
+        scalar = np.array([surrogate_predict(surrogate, row, "expectation") for row in x])
         np.testing.assert_allclose(batch, scalar, atol=0)
 
     @pytest.mark.parametrize("mode", ["argmax", "expectation"])
@@ -227,9 +221,8 @@ class TestSurrogatePredict:
         surrogate = TreeSurrogate(
             model=MlrModel(np.zeros(1), np.array([[1e300]])),
             leaf_values=np.array([1.0, 2.0]),
-            prediction_mode=mode,
         )
-        predictions = surrogate_predict_batch(surrogate, np.array([[1e10], [-1e10]]))
+        predictions = surrogate_predict_batch(surrogate, np.array([[1e10], [-1e10]]), mode)
         np.testing.assert_array_equal(predictions, [1.0, 2.0])
 
     def test_overflowing_weighted_leaf_values_stay_finite(self):
@@ -238,31 +231,25 @@ class TestSurrogatePredict:
         surrogate = TreeSurrogate(
             model=MlrModel(np.zeros(1), np.zeros((1, 1))),
             leaf_values=np.array([1.5e308, 1.5e308]),
-            prediction_mode="expectation",
         )
         rows = np.array([[0.5], [-2.0]])
-        np.testing.assert_array_equal(surrogate_predict_batch(surrogate, rows), 1.5e308)
-        assert surrogate_predict(surrogate, rows[0]) == 1.5e308
+        np.testing.assert_array_equal(
+            surrogate_predict_batch(surrogate, rows, "expectation"), 1.5e308
+        )
+        assert surrogate_predict(surrogate, rows[0], "expectation") == 1.5e308
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError, match="prediction_mode"):
-            TreeSurrogate(
-                model=None, leaf_values=np.array([1.0]), prediction_mode="soft"
-            )
-
-    def test_forest_rejects_mixed_modes(self):
-        surrogates = tuple(
-            TreeSurrogate(model=None, leaf_values=np.array([1.0]), prediction_mode=mode)
-            for mode in ("argmax", "expectation")
-        )
+        surrogate = TreeSurrogate(model=None, leaf_values=np.array([1.0]))
         config = ForestConfig(
-            subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
+            subsample_size=1, features_per_split=1, max_depth=0, n_trees=1
         )
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="prediction_mode must be one of"):
             SurrogateForest(
-                surrogates=surrogates, config=config, prediction_mode="argmax",
+                surrogates=(surrogate,), config=config, prediction_mode="soft",
                 n_features=1,
             )
+        with pytest.raises(ValueError, match="prediction_mode must be one of"):
+            surrogate_predict(surrogate, np.array([0.0]), "soft")
 
 
 class TestSquashForest:
@@ -283,7 +270,7 @@ class TestSquashForest:
         sf = squash_forest(forest, ds, MlrFitConfig())
         for x in ds.features[:10]:
             assert surrogate_forest_predict(sf, x) == surrogate_predict(
-                sf.surrogates[0], x
+                sf.surrogates[0], x, sf.prediction_mode
             )
 
     def test_leaf_counts_echo_source_trees(self):
@@ -303,10 +290,12 @@ class TestSquashForest:
             )
             assert diff < 1e-6
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
         ds, forest = self._forest(m=4)
-        a = squash_forest(forest, ds, MlrFitConfig(), n_jobs=1)
-        b = squash_forest(forest, ds, MlrFitConfig(), n_jobs=4)
+        monkeypatch.setenv("RFSQ_THREADS", "1")
+        a = squash_forest(forest, ds, MlrFitConfig())
+        monkeypatch.setenv("RFSQ_THREADS", "4")
+        b = squash_forest(forest, ds, MlrFitConfig())
         for sa, sb in zip(a.surrogates, b.surrogates):
             np.testing.assert_array_equal(sa.model.intercepts, sb.model.intercepts)
             np.testing.assert_array_equal(sa.model.coefficients, sb.model.coefficients)
@@ -335,7 +324,6 @@ class TestSquashForest:
         ds, forest = self._forest(m=2)
         sf = squash_forest(forest, ds, MlrFitConfig(), prediction_mode="argmax")
         assert sf.prediction_mode == "argmax"
-        assert all(s.prediction_mode == "argmax" for s in sf.surrogates)
         default = squash_forest(forest, ds, MlrFitConfig())
         assert default.prediction_mode == "expectation"
 
@@ -343,8 +331,7 @@ class TestSquashForest:
 class TestSurrogateForestPredict:
     def test_mean_of_two_surrogates(self):
         surrogates = tuple(
-            TreeSurrogate(model=None, leaf_values=np.array([v]), prediction_mode="argmax")
-            for v in (2.0, 4.0)
+            TreeSurrogate(model=None, leaf_values=np.array([v])) for v in (2.0, 4.0)
         )
         config = ForestConfig(
             subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
@@ -358,8 +345,7 @@ class TestSurrogateForestPredict:
     def test_overflowing_sum_of_finite_forecasts_stays_finite(self, mode):
         # 1.5e308 + 1.5e308 overflows; their mean used to come out inf
         surrogates = tuple(
-            TreeSurrogate(model=None, leaf_values=np.array([1.5e308]), prediction_mode=mode)
-            for _ in range(2)
+            TreeSurrogate(model=None, leaf_values=np.array([1.5e308])) for _ in range(2)
         )
         config = ForestConfig(
             subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
@@ -388,12 +374,10 @@ class TestSurrogateForestPredict:
         big = TreeSurrogate(
             model=MlrModel(np.zeros(k - 1), np.zeros((k - 1, 1))),
             leaf_values=np.array(leaf_values),
-            prediction_mode="expectation",
         )
         small = TreeSurrogate(
             model=MlrModel(np.array([0.3]), np.array([[2.0]])),
             leaf_values=np.array([1.0, 5.0]),
-            prediction_mode="expectation",
         )
         config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=2, n_trees=2)
         sf = SurrogateForest(
@@ -401,7 +385,7 @@ class TestSurrogateForestPredict:
             n_features=1,
         )
         rows = np.array([[0.5], [-2.0], [0.125]])
-        want = (expected + surrogate_predict_batch(small, rows)) / 2
+        want = (expected + surrogate_predict_batch(small, rows, "expectation")) / 2
         np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, rows), want)
         assert surrogate_forest_predict(sf, rows[2]) == want[2]
 
@@ -427,7 +411,9 @@ class TestSurrogateForestPredict:
         forest = fit_forest(ds, config)
         sf = squash_forest(forest, ds, MlrFitConfig())
         for x in ds.features[:10]:
-            independent = np.mean([surrogate_predict(s, x) for s in sf.surrogates])
+            independent = np.mean(
+                [surrogate_predict(s, x, sf.prediction_mode) for s in sf.surrogates]
+            )
             assert surrogate_forest_predict(sf, x) == pytest.approx(independent, abs=1e-12)
 
 
@@ -441,7 +427,6 @@ def _mixed_surrogate_forest(mode, leaf_counts=(1, 4, 2, 9, 1, 3, 6), p=4, seed=3
                 else None
             ),
             leaf_values=rng.uniform(1.0, 10.0, size=k),
-            prediction_mode=mode,
         )
         for k in leaf_counts
     )
@@ -461,7 +446,7 @@ def _oracle(sf, x):
             per_tree.append(np.full(x.shape[0], s.leaf_values[0]))
             continue
         probs = class_probability_matrix(s.model, x)
-        if s.prediction_mode == "argmax":
+        if sf.prediction_mode == "argmax":
             per_tree.append(s.leaf_values[np.argmax(probs, axis=1)])
         else:
             per_tree.append(probs @ s.leaf_values)

@@ -23,10 +23,6 @@ class TestSeeds:
 
 
 class TestThreads:
-    def test_explicit_wins(self):
-        assert thread_count(3) == 3
-        assert thread_count(0) == 1
-
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("RFSQ_THREADS", "5")
         assert thread_count() == 5
@@ -35,11 +31,9 @@ class TestThreads:
         monkeypatch.delenv("RFSQ_THREADS")
         assert thread_count() == 1
 
-    def test_parallel_map_preserves_order(self):
+    def test_parallel_map_preserves_order(self, monkeypatch):
         items = list(range(40))
-        assert parallel_map(lambda v: v * v, items, n_jobs=4) == [
-            v * v for v in items
-        ]
-        assert parallel_map(lambda v: v + 1, items, n_jobs=1) == [
-            v + 1 for v in items
-        ]
+        monkeypatch.setenv("RFSQ_THREADS", "4")
+        assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
+        monkeypatch.setenv("RFSQ_THREADS", "1")
+        assert parallel_map(lambda v: v + 1, items) == [v + 1 for v in items]
