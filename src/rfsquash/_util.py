@@ -21,10 +21,8 @@ FEATURE_STREAM = 0x4645
 
 
 def rng_for(*keys: int) -> np.random.Generator:
-    """Deterministic generator keyed on an ordered tuple of non-negative ints."""
-    for k in keys:
-        if k < 0:
-            raise ValueError(f"seed keys must be non-negative, got {k}")
+    """Deterministic generator keyed on an ordered tuple of non-negative ints
+    (numpy raises ValueError for a negative one)."""
     return np.random.default_rng(list(keys))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import codec
 from .data import Dataset, gen_axis_partition, gen_friedman1, load_csv, read_numeric_csv, split
 from .errors import CodecError, DataError, NumericError
-from .forest import Forest, ForestConfig, fit_forest, forest_predict_batch
+from .forest import LEAF_SUMMARIES, Forest, ForestConfig, fit_forest, forest_predict_batch
 from .mlr import MlrFitConfig
 from .surrogate import (
     PREDICTION_MODES,
@@ -227,16 +227,27 @@ def _read_model_file(path: str) -> Forest | SurrogateForest:
     file_path = Path(path)
     if not file_path.exists():
         raise DataError(f"no such model file: {path}")
-    return codec.decode(file_path.read_bytes())
+    try:
+        data = file_path.read_bytes()
+    except OSError as exc:  # a directory, no read permission, ...
+        raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
+    return codec.decode(data)
 
 
-def _emit(report: dict[str, Any], fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _write_out(path: str, data: bytes) -> None:
+    """Write an --out file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(report: dict[str, Any], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2), file=stream)
+        print(json.dumps(report, indent=2))
     else:
         for line in _text_lines(report):
-            print(line, file=stream)
+            print(line)
 
 
 def _text_lines(report: dict[str, Any], prefix: str = "") -> list[str]:
@@ -264,7 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     forest = fit_forest(dataset, config)
     train_seconds = time.perf_counter() - t0
     blob = codec.encode(forest, args.float)
-    Path(args.out).write_bytes(blob)
+    _write_out(args.out, blob)
     predictions = forest_predict_batch(forest, dataset.features)
     _emit(
         {
@@ -299,7 +310,7 @@ def cmd_squash(args: argparse.Namespace) -> int:
     sf = squash_forest(forest, dataset, fit_config, prediction_mode=args.mode)
     squash_seconds = time.perf_counter() - t0
     blob = codec.encode(sf, args.float)
-    Path(args.out).write_bytes(blob)
+    _write_out(args.out, blob)
     bytes_before = codec.measure_size(forest, args.float)
     bytes_after = codec.measure_size(sf, args.float)
     converged = [s.converged for s in sf.surrogates]
@@ -346,8 +357,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         return EXIT_OK
     lines = "".join(map("{:.17g}\n".format, predictions.tolist()))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("prediction\n" + lines)
+        _write_out(args.out, ("prediction\n" + lines).encode("utf-8"))
     else:
         sys.stdout.write(lines)
     return EXIT_OK
@@ -495,9 +505,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "rows": len(rows),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+        jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+        _write_out(args.out, jsonl.encode("utf-8"))
     if args.format == "json":
         print(json.dumps(header))
         for row in rows:
@@ -555,7 +564,7 @@ def _add_forest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-leaf", type=int, default=1, dest="min_leaf", help="minimum rows per leaf")
     parser.add_argument(
         "--leaf-summary",
-        choices=("mean", "median"),
+        choices=LEAF_SUMMARIES,
         default="mean",
         dest="leaf_summary",
         help="leaf statistic",

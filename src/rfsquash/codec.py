@@ -98,6 +98,7 @@ class _Cursor:
     def __init__(self, data: bytes, width: int) -> None:
         self.data = data
         self.width = width
+        self.dtype = _float_dtype(width)  # once: np.dtype() costs ~0.3 µs a call
         self.pos = 0
 
     def take(self, n: int) -> bytes:
@@ -115,9 +116,9 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def floats(self, count: int, width: int) -> np.ndarray:
-        raw = self.take(count * width)
-        return np.frombuffer(raw, dtype=_float_dtype(width)).astype(np.float64)
+    def floats(self, count: int) -> np.ndarray:
+        raw = self.take(count * self.width)
+        return np.frombuffer(raw, dtype=self.dtype).astype(np.float64)
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -173,8 +174,7 @@ def _encode_forest_payload(forest: Forest, width: int) -> bytes:
 def _decode_forest_payload(cur: _Cursor) -> Forest:
     config = _decode_config(cur)
     p, dataset_rows, fingerprint = struct.unpack("<IIQ", cur.take(16))
-    width = cur.width
-    node = _node_dtype(width)
+    node = _node_dtype(cur.width)
     trees = []
     for _ in range(config.n_trees):
         n_internal, n_leaves = struct.unpack("<II", cur.take(8))
@@ -183,7 +183,7 @@ def _decode_forest_payload(cur: _Cursor) -> Forest:
                 f"tree declares {n_internal} internal nodes and {n_leaves} leaves"
             )
         nodes = np.frombuffer(cur.take(n_internal * node.itemsize), dtype=node)
-        values = cur.floats(n_leaves, width)
+        values = cur.floats(n_leaves)
         counts = np.frombuffer(cur.take(4 * n_leaves), dtype="<u4").astype(np.int64)
         try:
             tree = DecisionTree(
@@ -227,7 +227,6 @@ def _encode_surrogate_payload(sf: SurrogateForest, width: int) -> bytes:
 def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
     config = _decode_config(cur)
     (p,) = struct.unpack("<I", cur.take(4))
-    width = cur.width
     surrogates = []
     modes = set()
     for _ in range(config.n_trees):
@@ -236,9 +235,9 @@ def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
             raise CodecError("surrogate tree declares zero leaves")
         model = None
         if k > 1:
-            params = cur.floats((k - 1) * (p + 1), width).reshape(k - 1, p + 1)
+            params = cur.floats((k - 1) * (p + 1)).reshape(k - 1, p + 1)
             model = MlrModel(intercepts=params[:, 0], coefficients=params[:, 1:])
-        values = cur.floats(k, width)
+        values = cur.floats(k)
         mode_code = cur.u8()
         if mode_code not in _MODE_NAME:
             raise CodecError(f"unknown prediction-mode code {mode_code}")
@@ -299,7 +298,7 @@ def decode(data: bytes) -> Forest | SurrogateForest:
         raise UnsupportedVersionError(
             f"format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    if width not in (4, 8):
+    if width not in FLOAT_WIDTHS.values():
         raise CodecError(f"invalid float width {width}")
     total = 16 + payload_len + 4
     if len(data) < total:

@@ -115,17 +115,20 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     Raises
     ------
     DataError
-        Missing file, a file that is not UTF-8 (the error names the byte
-        offset), a field past ``csv.field_size_limit()`` (the error names the
-        line), empty file, duplicate header names, ragged row, or a
+        Missing or unreadable file, a file that is not UTF-8 (the error names
+        the byte offset), a field past ``csv.field_size_limit()`` (the error
+        names the line), empty file, duplicate header names, ragged row, or a
         non-numeric / non-finite cell (the error names the offending 1-based
         data row and the column).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    parsed = _read_in_one_pass(path)
-    return parsed if parsed is not None else _read_per_cell(path)
+    try:
+        parsed = _read_in_one_pass(path)
+        return parsed if parsed is not None else _read_per_cell(path)
+    except OSError as exc:  # a directory, no read permission, ...
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _read_in_one_pass(path: Path) -> tuple[list[str], np.ndarray] | None:
@@ -232,7 +235,7 @@ def load_csv(path: str | Path, response_column: str) -> Dataset:
     ------
     DataError
         Anything :func:`read_numeric_csv` rejects, plus a missing response
-        column.
+        column or no column besides it.
     """
     header, values = read_numeric_csv(path)
     if response_column not in header:
@@ -240,6 +243,8 @@ def load_csv(path: str | Path, response_column: str) -> Dataset:
             f"response column {response_column!r} not found in {path} "
             f"(columns: {', '.join(header)})"
         )
+    if len(header) == 1:
+        raise DataError(f"{path} has no feature columns, only {response_column!r}")
     resp_idx = header.index(response_column)
     feature_cols = [i for i in range(len(header)) if i != resp_idx]
     feature_names = tuple(header[i] for i in feature_cols)
@@ -309,15 +314,6 @@ def _group_thresholds(
     return {f: np.array(sorted(cuts)) for f, cuts in sorted(grouped.items())}
 
 
-def axis_cell_count(thresholds: list[tuple[int, float]]) -> int:
-    """Number of rectangular cells induced by a set of axis-aligned cutpoints."""
-    grouped = _group_thresholds(thresholds)
-    count = 1
-    for cuts in grouped.values():
-        count *= len(cuts) + 1
-    return count
-
-
 def axis_cell_indices(
     x: np.ndarray, thresholds: list[tuple[int, float]]
 ) -> np.ndarray:
@@ -354,7 +350,7 @@ def gen_axis_partition(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     grouped = _group_thresholds(thresholds)
-    n_cells = axis_cell_count(thresholds)
+    n_cells = math.prod(len(cuts) + 1 for cuts in grouped.values())
     if len(leaf_values) != n_cells:
         raise ValueError(
             f"{len(leaf_values)} leaf values for {n_cells} cells induced by thresholds"

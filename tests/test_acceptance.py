@@ -32,7 +32,6 @@ from rfsquash.forest import (
     fit_tree,
     forest_predict_batch,
     traverse_batch,
-    tree_predict_batch,
 )
 from rfsquash.mlr import (
     MlrFitConfig,
@@ -352,7 +351,7 @@ def test_criterion_6_size_accuracy_tradeoff():
             # the parameter-shrinking baseline: prefix sub-ensembles of this
             # forest are exactly the models R(n,k,depth,M') for M' <= M
             per_tree_pred = np.stack(
-                [tree_predict_batch(t, test.features) for t in forest.trees]
+                [t.leaf_values[traverse_batch(t, test.features)] for t in forest.trees]
             )
             for m_prime in (1, 2, 5, 10, 20, 35, 50):
                 prefix_rmse = rmse(per_tree_pred[:m_prime].mean(axis=0))

@@ -481,6 +481,54 @@ class TestEvaluateAndPredict:
         assert code == 2
 
 
+class TestFileErrors:
+    """Unusable files exit with one line, never a traceback: an input that
+    cannot be read is a data error, an --out that cannot be written a usage
+    error."""
+
+    def _model(self, tmp_path):
+        forest, _ = _stump_models()
+        path = tmp_path / "m.rfsq"
+        path.write_bytes(encode(forest))
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_csv_with_only_the_response_exits_2(self, capsys, tmp_path, command):
+        csv = tmp_path / "only_y.csv"
+        csv.write_text("y\n1\n2\n")
+        argv = {
+            "train": ("train", str(csv), "--out", str(tmp_path / "f.rfsq")),
+            "evaluate": ("evaluate", str(self._model(tmp_path)), str(csv)),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"data error: {csv} has no feature columns, only 'y'\n"
+
+    @pytest.mark.parametrize("command", ["predict", "squash"])
+    def test_model_that_is_a_directory_exits_2(self, capsys, tmp_path, command):
+        argv = [command, str(tmp_path), AXIS_SPEC]
+        if command == "squash":
+            argv += ["--out", str(tmp_path / "s.rfsq")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"data error: cannot read model file {tmp_path}: Is a directory\n"
+
+    def test_csv_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        model = self._model(tmp_path)
+        code, out, err = run_cli(capsys, "evaluate", str(model), str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"data error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_out_in_a_missing_directory_exits_1(self, capsys, tmp_path, command):
+        out_path = tmp_path / "missing" / "out"
+        argv = [command, "friedman1:n=150,noise=1", "--d", "1", "--m", "2",
+                "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: cannot write {out_path}: No such file or directory\n"
+
+
 class TestBench:
     def test_row_count_is_twice_grid(self, capsys, tmp_path):
         code, out, err = run_cli(

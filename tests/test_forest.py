@@ -1,6 +1,7 @@
 """Tests for CART tree fitting, traversal, and the forest ensemble."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsquash import _util
+from rfsquash import forest as forest_module
 from rfsquash.codec import encode
 from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
 from rfsquash.forest import (
@@ -585,6 +587,25 @@ class TestFitForest:
         for ta, tb in zip(a.trees, b.trees):
             np.testing.assert_array_equal(ta.split_thresholds, tb.split_thresholds)
             np.testing.assert_array_equal(ta.leaf_values, tb.leaf_values)
+
+    def test_trees_are_fitted_on_the_calling_thread(self, monkeypatch):
+        # the split search holds the interpreter lock: worker threads only
+        # slowed the fit, so RFSQ_THREADS sets the squash workers alone
+        ds = gen_friedman1(80, 1.0, seed=1)
+        config = ForestConfig(
+            subsample_size=40, features_per_split=4, max_depth=3, n_trees=6, seed=3
+        )
+        threads = []
+        fit_tree = forest_module.fit_tree
+
+        def recording_fit_tree(*args):
+            threads.append(threading.get_ident())
+            return fit_tree(*args)
+
+        monkeypatch.setattr(forest_module, "fit_tree", recording_fit_tree)
+        monkeypatch.setenv("RFSQ_THREADS", "4")
+        fit_forest(ds, config)
+        assert threads == [threading.get_ident()] * config.n_trees
 
     def test_noiseless_axis_leaf_values(self):
         # per-tree oracle: every leaf must carry one of the generating values

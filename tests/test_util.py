@@ -1,6 +1,7 @@
 """Tests for seed derivation and the thread-pool helper."""
 
 import numpy as np
+import pytest
 
 from rfsquash._util import derive_seed, parallel_map, rng_for, thread_count
 
@@ -20,6 +21,10 @@ class TestSeeds:
 
     def test_large_path_keys_accepted(self):
         rng_for(0, 2**60 + 1, 7).random(1)
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError):
+            rng_for(1, -2, 3)
 
 
 class TestThreads:
