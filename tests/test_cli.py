@@ -207,6 +207,30 @@ class TestSquash:
         assert decode(a).prediction_mode == "argmax"
         assert decode(e).prediction_mode == "expectation"
 
+    def test_default_flags_converge(self, capsys, tmp_path):
+        spec = "friedman1:n=600,noise=1.0"
+        forest_path = self._train(capsys, tmp_path, spec=spec, d="4", m="2")
+        code, out, err = run_cli(capsys, "squash", str(forest_path), spec,
+                                 "--out", str(tmp_path / "s.rfsq"))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["fit"] == {
+            "lambda": 1e-3, "max_iter": 100, "tol": 1e-4, "mode": "expectation"
+        }
+        assert report["surrogates_converged"] == report["surrogates_total"] == 2
+
+    def test_unconverged_fits_are_named_on_stderr(self, capsys, tmp_path):
+        spec = "friedman1:n=400,noise=1.0"
+        forest_path = self._train(capsys, tmp_path, spec=spec, d="3", m="3")
+        code, out, err = run_cli(capsys, "squash", str(forest_path), spec,
+                                 "--max-iter", "1", "--out", str(tmp_path / "s.rfsq"))
+        assert code == 0
+        assert err == (
+            "warning: 3 of 3 surrogate fits did not converge (trees 0, 1, 2); "
+            "raise --max-iter or --lambda\n"
+        )
+        assert json.loads(out)["surrogates_converged"] == 0
+
     def test_wrong_training_data_exits_2(self, capsys, tmp_path):
         forest_path = self._train(capsys, tmp_path)
         out = tmp_path / "s.rfsq"
@@ -545,6 +569,19 @@ class TestBench:
         kinds = [r["kind"] for r in rows]
         assert kinds.count("forest") == grid_size
         assert kinds.count("surrogate") == grid_size
+
+    def test_unconverged_fits_are_named_on_stderr(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bench", "friedman1:n=300,noise=1", "--d", "3", "--m", "2",
+            "--mode", "expectation,argmax", "--float", "f64", "--max-iter", "1",
+            "--seed", "1",
+        )
+        assert code == 0
+        # one line per squash fit, which both modes share
+        assert err == (
+            "warning: d=3 m=2 lambda=0.001: 2 of 2 surrogate fits did not "
+            "converge (trees 0, 1); raise --max-iter or --lambda\n"
+        )
 
     def test_single_cell_matches_manual_composition(self, capsys, tmp_path):
         # composition oracle: the 1x1 bench must reproduce what the library

@@ -1,7 +1,9 @@
 """Tests for CART tree fitting, traversal, and the forest ensemble."""
 
+import dataclasses
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from rfsquash import _util
 from rfsquash import forest as forest_module
-from rfsquash.codec import encode
+from rfsquash.codec import decode, encode
 from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
 from rfsquash.forest import (
     DecisionTree,
@@ -505,6 +507,8 @@ class TestTraverse:
         tree = _single_leaf(7.0)
         for x in (np.array([0.0]), np.array([123.0])):
             assert traverse(tree, x) == 0
+        # no split fixes a width: any row, even an empty one, reaches the leaf
+        np.testing.assert_array_equal(traverse_batch(tree, np.zeros((3, 0))), [0, 0, 0])
 
     def test_dimension_mismatch(self):
         tree = _stump(0.5, 2.0, 4.0)
@@ -711,6 +715,167 @@ class TestForestPredict:
                     forest_predict_batch(forest, np.zeros((4, width)))
                 with pytest.raises(ValueError, match="forest expects 10"):
                     forest_predict(forest, np.zeros(width))
+
+
+def _chain(thresholds, features):
+    """A tree whose internal node i splits ``features[i]`` at
+    ``thresholds[i]`` with a leaf on its left and node i+1 on its right: one
+    path as deep as it has internal nodes. Leaf j holds the value j."""
+    k = len(thresholds) + 1
+    right = list(range(1, k - 1)) + [2 * k - 2]
+    return DecisionTree(
+        split_features=np.array(features, dtype=np.int32),
+        split_thresholds=np.array(thresholds, dtype=np.float64),
+        children_left=np.arange(k - 1, 2 * k - 2, dtype=np.int32),
+        children_right=np.array(right, dtype=np.int32),
+        leaf_values=np.arange(k, dtype=np.float64),
+        leaf_counts=np.ones(k, dtype=np.int32),
+    )
+
+
+def _mixed_forest():
+    """Single-leaf trees beside a depth-11 chain and a stump, in a forest
+    whose config claims max_depth 1; the chain's thresholds include 0.0,
+    -0.0 and repeats, and it splits all three features."""
+    chain = _chain(
+        [0.5, 0.0, -0.0, 0.25, 0.25, -1.0, 2.0, 0.75, 1e300, -1e300, 0.5],
+        [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1],
+    )
+    stump = DecisionTree(
+        split_features=np.array([2], dtype=np.int32),
+        split_thresholds=np.array([0.3]),
+        children_left=np.array([1], dtype=np.int32),
+        children_right=np.array([2], dtype=np.int32),
+        leaf_values=np.array([-3.0, 5.0]),
+        leaf_counts=np.array([6, 6], dtype=np.int32),
+    )
+    trees = (_single_leaf(7.0, 12), chain, _single_leaf(-2.5, 12), stump)
+    config = ForestConfig(
+        subsample_size=12, features_per_split=1, max_depth=1, n_trees=len(trees)
+    )
+    return Forest(
+        trees=trees, config=config, dataset_rows=12, dataset_fingerprint=0, n_features=3
+    )
+
+
+def _edge_rows(trees, p, seed):
+    """Rows of width p with each split's feature at its threshold in turn,
+    plus +-0.0, +-inf and NaN in every column, among random rows."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(-1.0, 2.0, p) for _ in range(20)]
+    for tree in trees:
+        for f, t in zip(tree.split_features, tree.split_thresholds):
+            row = rng.uniform(-1.0, 2.0, p)
+            row[f] = t
+            rows.append(row)
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        rows.append(np.full(p, value))
+        for f in range(p):
+            row = rng.uniform(-1.0, 2.0, p)
+            row[f] = value
+            rows.append(row)
+    return np.array(rows)
+
+
+def _assert_descent_matches_walk(forest, x):
+    """The batch descent against the single-row walk: forecasts equal the
+    np.mean of per-tree tree_predict, and leaves equal traverse, row by row."""
+    per_tree = np.array(
+        [[tree_predict(t, row) for row in x] for t in forest.trees]
+    ).reshape(forest.n_trees, x.shape[0])
+    got = forest_predict_batch(forest, x)
+    assert got.shape == (x.shape[0],)
+    np.testing.assert_array_equal(got, np.mean(per_tree, axis=0))
+    for tree in forest.trees:
+        leaves = traverse_batch(tree, x)
+        assert leaves.shape == (x.shape[0],)
+        np.testing.assert_array_equal(leaves, [traverse(tree, row) for row in x])
+
+
+class TestBatchDescent:
+    @pytest.mark.parametrize("depth", range(9))
+    def test_fitted_forests_match_the_walk(self, depth):
+        ds = gen_friedman1(300, 1.0, seed=20 + depth)
+        config = ForestConfig(
+            subsample_size=200, features_per_split=4, max_depth=depth, n_trees=5,
+            seed=depth,
+        )
+        forest = fit_forest(ds, config)
+        _assert_descent_matches_walk(forest, ds.features)
+        _assert_descent_matches_walk(forest, _edge_rows(forest.trees, 10, seed=depth))
+
+    def test_chain_deeper_than_config_and_single_leaves(self):
+        forest = _mixed_forest()
+        assert forest._flat.depth == 11 > forest.config.max_depth
+        _assert_descent_matches_walk(forest, _edge_rows(forest.trees, 3, seed=1))
+
+    def test_non_finite_thresholds_stay_splits(self):
+        # a lone tree is not checked for finite thresholds: a +inf split is
+        # still a split, not a leaf, and NaN sends every row right
+        tree = _chain([np.inf, np.nan, 0.5], [0, 1, 0])
+        x = _edge_rows([tree], 2, seed=2)
+        np.testing.assert_array_equal(
+            traverse_batch(tree, x), [traverse(tree, row) for row in x]
+        )
+
+    def test_layout_of_x_does_not_matter(self):
+        forest = _mixed_forest()
+        x = _edge_rows(forest.trees, 3, seed=3)
+        wide = np.full((2 * x.shape[0], 2 * forest.n_features), 99.0)
+        wide[::2, ::2] = x
+        for layout in (np.asfortranarray(x), wide[::2, ::2]):
+            assert not layout.flags.c_contiguous
+            _assert_descent_matches_walk(forest, layout)
+
+    @pytest.mark.parametrize("cells", [1, 3, 8, 64])
+    def test_row_counts_around_the_block(self, monkeypatch, cells):
+        # a block of max(1, cells // M) rows: one row per block when the
+        # cells do not cover the trees, and a ragged last block otherwise
+        monkeypatch.setattr(forest_module, "_CELLS", cells)
+        forest = _mixed_forest()
+        x = _edge_rows(forest.trees, 3, seed=4)
+        for n in (0, 1, 2, 15, 16, 17, x.shape[0]):
+            _assert_descent_matches_walk(forest, x[:n])
+
+    def test_memory_does_not_grow_as_rows_times_trees(self):
+        # 50 trees x 50k rows: the per-tree (M, N) stack alone took 20 MB
+        trees = [_stump(t, -t, t) for t in np.linspace(0.1, 0.9, 50)]
+        forest = _manual_forest(trees, n=2)
+        x = np.random.default_rng(5).random((50_000, 1))
+        tracemalloc.start()
+        try:
+            out = forest_predict_batch(forest, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # the (N,) output is 400 kB
+        np.testing.assert_array_equal(out[:100], forest_predict_batch(forest, x[:100]))
+        _assert_descent_matches_walk(forest, x[:100])
+
+    def test_flat_arrays_are_built_lazily_and_never_stored(self, monkeypatch):
+        ds = gen_friedman1(200, 1.0, seed=6)
+        config = ForestConfig(
+            subsample_size=100, features_per_split=5, max_depth=4, n_trees=6, seed=6
+        )
+        blob = encode(fit_forest(ds, config))
+        model = decode(blob)
+        assert "_flat" not in vars(model)  # decode alone is what loading times
+
+        def no_kernel(*args):
+            raise AssertionError("single rows must not use the batch descent")
+
+        monkeypatch.setattr(forest_module, "_descend_blocks", no_kernel)
+        want = [forest_predict(model, row) for row in ds.features[:5]]
+        assert "_flat" not in vars(model)
+        monkeypatch.undo()
+
+        np.testing.assert_array_equal(forest_predict_batch(model, ds.features[:5]), want)
+        assert "_flat" in vars(model)
+        assert encode(model) == blob
+        assert model == dataclasses.replace(model)
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "trees", "config", "dataset_rows", "dataset_fingerprint", "n_features"
+        ]
 
 
 class TestConfigValidation:
