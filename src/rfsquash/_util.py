@@ -1,4 +1,5 @@
-"""Seed derivation, thread-pool and ensemble-mean helpers used across modules."""
+"""Seed derivation, thread-pool, single-row and ensemble-mean helpers used
+across modules."""
 
 from __future__ import annotations
 
@@ -48,6 +49,19 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def one_row(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
+    """x as a float64 vector of n_features values. Anything else raises
+    ValueError, a matrix included: taking its first row would hide the
+    caller's mistake."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n_features,):
+        raise ValueError(
+            f"{owner} expects {n_features} features in one row, got an input "
+            f"of shape {x.shape}"
+        )
+    return x
 
 
 @np.errstate(over="ignore")

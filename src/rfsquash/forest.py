@@ -16,16 +16,28 @@ Batch prediction descends every tree at once. On its first batch predict a
 split features, thresholds, one interleaved children array (node i's left
 child at 2i, its right at 2i+1), node values and each tree's root offset.
 Leaves become nodes that point to themselves under a +inf threshold, so a
-step taken at a leaf changes nothing, and the descent runs a fixed number of
-steps: the forest's deepest leaf, counted in the arrays, since nothing else
-bounds how deep a decoded tree is. Rows go in blocks of ``_CELLS // M`` (at
-least one), and each step advances all (tree, row) cells of a block by one
-level with four gathers. Each block's (M, block) leaf values are averaged
-into the (N,) output by the same axis-0 reduction as a full (M, N) array,
-so forecasts are bit-identical to averaging per-tree predictions. The cost
-is O(depth * M * N), the memory O(N + _CELLS); :func:`traverse_batch` runs
-the same descent on one tree. A single row still walks each tree in
-:func:`traverse`, which is faster for one row.
+step taken at a leaf changes nothing. Each tree's depth is counted in the
+arrays, since nothing else bounds how deep a decoded tree is, and the trees
+are ordered deepest first: step s advances only the prefix of trees deeper
+than s, so the steps sum to the trees' depths, not M times the deepest.
+Rows go in blocks of ``_CELLS // M`` (at least one), and each step advances
+the (tree, row) cells of a block by one level with four gathers; the
+block's (M, block) nodes are put back in tree order unless the trees
+already come deepest first.
+Each block's leaf values are averaged into the (N,) output along axis 0,
+which adds the trees in order, as over a full (M, N) array, except for a
+row alone in its block: numpy sums an (M, 1) slab pairwise, as it sums one
+row's (M,) values, which can differ in the last bits for M >= 8. The cost
+is O(N * the sum of tree depths), the memory O(N + _CELLS);
+:func:`traverse_batch` runs the same descent on one tree.
+
+A single row walks Python objects instead: on its first single-row predict
+a :class:`Forest` builds one list over every node in the same layout, an
+internal node a tuple ``(feature, threshold, left, right)`` and a leaf its
+value. Each tree's walk costs a few bytecodes per level, where indexing
+numpy arrays one scalar at a time in :func:`traverse` cost several times
+more; the M leaf values are averaged as one (M,) array, bit for bit as the
+mean of per-tree :func:`tree_predict` values.
 """
 
 from __future__ import annotations
@@ -234,6 +246,12 @@ class Forest:
         is not a field, so it is neither compared nor serialized."""
         return _flatten(self.trees)
 
+    @cached_property
+    def _nodes(self) -> _Nodes:
+        """Every tree's nodes as Python objects, built on first single-row
+        predict; like ``_flat``, it is neither compared nor serialized."""
+        return _node_objects(self.trees)
+
 
 def subsample(dataset: Dataset, n: int, seed: int, tree_id: int) -> np.ndarray:
     """Draw n distinct row indices without replacement, keyed on (seed, tree_id)."""
@@ -434,14 +452,21 @@ def rederive_subsamples(forest: Forest) -> tuple[np.ndarray, ...]:
 
 
 def forest_predict(forest: Forest, x: np.ndarray) -> float:
-    """Ensemble forecast: arithmetic mean of the per-tree predictions."""
-    # Trees check only the features they split on, so a stump forest, or one
-    # that never splits the last column, would take rows of the wrong width.
-    # len() is the cheapest such test on this per-row path.
-    if len(x) != forest.n_features:
-        raise ValueError(f"input has {len(x)} features, forest expects {forest.n_features}")
-    per_tree = np.array([tree_predict(t, x) for t in forest.trees])
-    return float(_util.mean_over_trees(per_tree))
+    """Ensemble forecast at one row x: arithmetic mean of the per-tree
+    predictions."""
+    # the walk reads only the features the trees split on, so it would take
+    # a row of the wrong width, and index a matrix by its rows
+    row = _util.one_row(x, forest.n_features, "forest").tolist()
+    nodes, roots = forest._nodes
+    values = []
+    for root in roots:
+        node = nodes[root]
+        while node.__class__ is tuple:
+            f, t, left, right = node
+            # NaN fails x <= threshold and goes right, as in traverse
+            node = nodes[left if row[f] <= t else right]
+        values.append(node)
+    return float(_util.mean_over_trees(np.array(values)))
 
 
 def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
@@ -461,16 +486,16 @@ def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
 
 class _Flat(NamedTuple):
     """The nodes of M trees in one array each (see module docs). Tree m's
-    nodes start at ``roots[m]``: its internal nodes in preorder, then its
-    leaves left to right, so a tree's own child pointer c is node
-    ``roots[m] + c``."""
+    nodes start at its root: its internal nodes in preorder, then its leaves
+    left to right, so a tree's own child pointer c is node ``root + c``."""
 
     features: np.ndarray  # split column as intp; 0 at leaves
     thresholds: np.ndarray  # +inf at leaves
     children: np.ndarray  # left child at 2i, right at 2i+1; both are i at a leaf
     values: np.ndarray  # the leaf value at leaves, 0 at internal nodes
-    roots: np.ndarray  # (M,) intp
-    depth: int  # the deepest leaf's depth, counted in the arrays
+    roots: np.ndarray  # (M,) intp, deepest tree first (ties in tree order)
+    unsort: np.ndarray | None  # puts root-ordered rows back in tree order; None if no-op
+    live: list[int]  # per step s, how many leading roots' trees are deeper than s
 
 
 def _flatten(trees: Sequence[DecisionTree]) -> _Flat:
@@ -489,18 +514,55 @@ def _flatten(trees: Sequence[DecisionTree]) -> _Flat:
     pairs[internal, 1] = np.concatenate([t.children_right for t in trees]) + offsets
     values = np.zeros(node.shape[0])
     values[~internal] = np.concatenate([t.leaf_values for t in trees])
-    # one level per pass; every tree is validated acyclic, so this ends
+    # each tree's deepest leaf, one level per pass; every tree is validated
+    # acyclic, so this ends
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    depths = np.zeros(len(trees), dtype=np.intp)
     depth, level = 0, roots[internal[roots]]
     while level.size:
         depth += 1
+        depths[tree_of[level]] = depth
         level = pairs[level].ravel()
         level = level[internal[level]]
-    return _Flat(features, thresholds, pairs.ravel(), values, roots, depth)
+    # deepest first, so the trees deeper than step s are a prefix
+    order = np.argsort(-depths, kind="stable")
+    shallower = np.searchsorted(np.sort(depths), np.arange(depth), side="right")
+    live = (len(trees) - shallower).tolist()
+    unsort = None if (order == np.arange(len(trees))).all() else np.argsort(order)
+    return _Flat(features, thresholds, pairs.ravel(), values, roots[order], unsort, live)
+
+
+class _Nodes(NamedTuple):
+    """The nodes of M trees in one list, in the layout of :class:`_Flat`: an
+    internal node is a tuple ``(feature, threshold, left, right)`` of Python
+    numbers whose children are indices into the list, and a leaf is its value
+    as a float. A tuple walk over Python numbers costs a fraction of indexing
+    numpy arrays one scalar at a time."""
+
+    nodes: list
+    roots: list[int]
+
+
+def _node_objects(trees: Sequence[DecisionTree]) -> _Nodes:
+    nodes: list = []
+    roots = []
+    for t in trees:
+        root = len(nodes)
+        roots.append(root)
+        nodes += zip(
+            t.split_features.tolist(),
+            t.split_thresholds.tolist(),
+            [root + c for c in t.children_left.tolist()],
+            [root + c for c in t.children_right.tolist()],
+        )
+        nodes += t.leaf_values.tolist()
+    return _Nodes(nodes, roots)
 
 
 def _descend_blocks(flat: _Flat, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """For each block of rows of x, the (M, block) nodes where its rows end
-    up in every tree: one level per step, ``flat.depth`` steps."""
+    up in every tree, in tree order: one level per step, and step s moves
+    only the trees deeper than s, so one deep tree does not hold the rest."""
     m, n = flat.roots.shape[0], x.shape[0]
     block = max(1, _CELLS // m)
     for start in range(0, n, block):
@@ -511,8 +573,15 @@ def _descend_blocks(flat: _Flat, x: np.ndarray) -> Iterator[tuple[slice, np.ndar
         cells = xb.ravel()
         row_offset = np.arange(b) * p
         nodes = np.repeat(flat.roots, b).reshape(m, b)
-        for _ in range(flat.depth):
-            xv = cells.take(row_offset + flat.features.take(nodes))
+        for k in flat.live:
+            live = nodes[:k]
+            xv = cells.take(row_offset + flat.features.take(live))
             # NaN fails x <= threshold and goes right, as in traverse
-            nodes = flat.children.take(2 * nodes + ~(xv <= flat.thresholds.take(nodes)))
+            step = flat.children.take(2 * live + ~(xv <= flat.thresholds.take(live)))
+            if k == m:  # every tree still descends: rebinding saves a copy
+                nodes = step
+            else:
+                nodes[:k] = step
+        if flat.unsort is not None:
+            nodes = nodes.take(flat.unsort, axis=0)
         yield rows, nodes

@@ -277,7 +277,12 @@ def fit_surrogate(
 
 
 def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray, mode: str) -> float:
-    """Forecast of one surrogate at one feature vector x in the given mode."""
+    """Forecast of one surrogate at one feature vector x in the given mode.
+    A single-leaf surrogate has no model to fix the feature count, so it
+    takes a vector of any width."""
+    x = np.asarray(x)
+    p = surrogate.model.n_features if surrogate.model is not None else x.size
+    x = _util.one_row(x, p, "surrogate")
     return float(surrogate_predict_batch(surrogate, x, mode)[0])
 
 
@@ -335,6 +340,7 @@ def squash_forest(
 def surrogate_forest_predict(sf: SurrogateForest, x: np.ndarray) -> float:
     """Squashed-ensemble forecast at one feature vector x: mean of the
     per-surrogate predictions."""
+    x = _util.one_row(x, sf.n_features, "surrogate forest")
     return float(surrogate_forest_predict_batch(sf, x)[0])
 
 

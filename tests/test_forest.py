@@ -716,6 +716,17 @@ class TestForestPredict:
                 with pytest.raises(ValueError, match="forest expects 10"):
                     forest_predict(forest, np.zeros(width))
 
+    def test_single_row_rejects_anything_but_one_row(self):
+        # a (p, p) matrix used to fail in numpy's truth-value check; a (1, p)
+        # one or a lone number is no row either
+        forest = _mixed_forest()
+        for x in (np.zeros((3, 3)), np.zeros((1, 3)), np.zeros((3, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="forest expects 3 features in one row"):
+                forest_predict(forest, x)
+        assert forest_predict(forest, [0.0, 0.0, 0.0]) == forest_predict(
+            forest, np.zeros(3, dtype=np.float32)
+        )
+
 
 def _chain(thresholds, features):
     """A tree whose internal node i splits ``features[i]`` at
@@ -777,6 +788,24 @@ def _edge_rows(trees, p, seed):
     return np.array(rows)
 
 
+def _workload_forest(noise_columns, k, depth, m):
+    """A forest of the benchmark's shape: Friedman #1 with noise columns, a
+    1000-row subsample, k split candidates, depth and M trees."""
+    ds = gen_friedman1(1500, 1.0, seed=depth + m)
+    if noise_columns:
+        noise = np.random.default_rng(m).random((ds.n_rows, noise_columns))
+        ds = Dataset(responses=ds.responses, features=np.hstack([ds.features, noise]))
+    config = ForestConfig(
+        subsample_size=1000, features_per_split=k, max_depth=depth, n_trees=m,
+        min_leaf=8, seed=m,
+    )
+    return fit_forest(ds, config)
+
+
+# (noise columns, split candidates, depth, trees) of pilot_d8, wide_p30, serve_d5
+WORKLOAD_SHAPES = [(0, 10, 8, 12), (20, 30, 8, 8), (0, 10, 5, 50)]
+
+
 def _assert_descent_matches_walk(forest, x):
     """The batch descent against the single-row walk: forecasts equal the
     np.mean of per-tree tree_predict, and leaves equal traverse, row by row."""
@@ -806,8 +835,30 @@ class TestBatchDescent:
 
     def test_chain_deeper_than_config_and_single_leaves(self):
         forest = _mixed_forest()
-        assert forest._flat.depth == 11 > forest.config.max_depth
+        assert len(forest._flat.live) == 11 > forest.config.max_depth
         _assert_descent_matches_walk(forest, _edge_rows(forest.trees, 3, seed=1))
+
+    def test_only_trees_deeper_than_the_step_move(self):
+        # the chain descends first; the stump takes one step and the single
+        # leaves none, then the slab is put back in tree order
+        forest = _mixed_forest()
+        assert forest._flat.live == [2] + [1] * 10
+        assert forest._flat.unsort is not None
+        x = _edge_rows(forest.trees, 3, seed=8)
+        _assert_descent_matches_walk(dataclasses.replace(forest, trees=forest.trees[::-1]), x)
+        # the mean adds in tree order, (1 - 2**53) + 2**53 = 1, where the
+        # descent's order would give (2**53 + 1) - 2**53 = 0
+        big = 2.0**53
+        trees = [_single_leaf(1.0, 2), _single_leaf(-big, 2), _stump(0.5, big, big)]
+        uneven = _manual_forest(trees, n=2)
+        assert uneven._flat.unsort is not None
+        np.testing.assert_array_equal(forest_predict_batch(uneven, [[0.0], [1.0]]), 1 / 3)
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    def test_workload_shaped_trees_keep_their_order(self, shape):
+        forest = _workload_forest(*shape)
+        assert forest._flat.unsort is None
+        assert forest._flat.live == [forest.n_trees] * shape[2]
 
     def test_non_finite_thresholds_stay_splits(self):
         # a lone tree is not checked for finite thresholds: a +inf split is
@@ -859,14 +910,17 @@ class TestBatchDescent:
         )
         blob = encode(fit_forest(ds, config))
         model = decode(blob)
-        assert "_flat" not in vars(model)  # decode alone is what loading times
+        # decode alone is what loading times
+        assert "_flat" not in vars(model) and "_nodes" not in vars(model)
 
         def no_kernel(*args):
             raise AssertionError("single rows must not use the batch descent")
 
         monkeypatch.setattr(forest_module, "_descend_blocks", no_kernel)
         want = [forest_predict(model, row) for row in ds.features[:5]]
-        assert "_flat" not in vars(model)
+        assert "_nodes" in vars(model) and "_flat" not in vars(model)
+        assert encode(model) == blob
+        assert model == dataclasses.replace(model)
         monkeypatch.undo()
 
         np.testing.assert_array_equal(forest_predict_batch(model, ds.features[:5]), want)
@@ -876,6 +930,36 @@ class TestBatchDescent:
         assert [f.name for f in dataclasses.fields(model)] == [
             "trees", "config", "dataset_rows", "dataset_fingerprint", "n_features"
         ]
+
+
+class TestSingleRowWalk:
+    @staticmethod
+    def _assert_walk_matches_np_mean(forest, x):
+        for row in x:
+            assert forest_predict(forest, row) == np.mean(
+                [tree_predict(t, row) for t in forest.trees]
+            )
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    def test_workload_shaped_forests_match_per_tree_predictions(self, shape):
+        forest = _workload_forest(*shape)
+        rows = _edge_rows(forest.trees[:3], forest.n_features, seed=shape[-1])
+        self._assert_walk_matches_np_mean(forest, rows)
+
+    def test_chain_and_single_leaves(self):
+        forest = _mixed_forest()
+        self._assert_walk_matches_np_mean(forest, _edge_rows(forest.trees, 3, seed=7))
+
+    def test_nodes_take_at_most_eight_times_the_file(self):
+        forest = _workload_forest(*WORKLOAD_SHAPES[2])
+        tracemalloc.start()
+        try:
+            nodes = forest._nodes
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(nodes.nodes) == sum(2 * t.n_leaves - 1 for t in forest.trees)
+        assert held <= 8 * len(encode(forest, "f64"))
 
 
 class TestConfigValidation:

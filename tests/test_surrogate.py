@@ -507,3 +507,21 @@ class TestStackedKernel:
                     surrogate_forest_predict_batch(sf, np.zeros((3, width)))
                 with pytest.raises(ValueError, match="features"):
                     surrogate_forest_predict(sf, np.zeros(width))
+
+    def test_single_row_rejects_anything_but_one_row(self):
+        # a matrix used to give its first row's forecast
+        sf = _mixed_surrogate_forest("expectation")
+        p = sf.n_features
+        lone = sf.surrogates[1]
+        leaf = sf.surrogates[0]
+        assert lone.model is not None and leaf.model is None
+        for x in (np.zeros((3, p)), np.zeros((1, p)), np.float64(0.0)):
+            with pytest.raises(ValueError, match=f"forest expects {p} features in one row"):
+                surrogate_forest_predict(sf, x)
+            with pytest.raises(ValueError, match=f"surrogate expects {p} features in one"):
+                surrogate_predict(lone, x, "expectation")
+        # a single-leaf surrogate takes a row of any width, but only one row
+        assert surrogate_predict(leaf, np.zeros(p + 2), "argmax") == leaf.leaf_values[0]
+        for x in (np.zeros((3, p)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="features in one row"):
+                surrogate_predict(leaf, x, "argmax")
