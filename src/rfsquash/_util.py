@@ -64,17 +64,29 @@ def one_row(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
     return x
 
 
+def sum_in_order(a: np.ndarray) -> np.ndarray:
+    """The sum over axis 0, adding a[0], a[1], ... in turn for every shape
+    and layout. numpy reduces a C-ordered array that way when each a[i]
+    holds two or more values, but sums along a contiguous axis 0, such as a
+    lone column, pairwise, which differs in the last bits from eight terms
+    on; accumulating keeps the order."""
+    if a.size > a.shape[0]:
+        return np.add.reduce(np.ascontiguousarray(a), axis=0)
+    return np.add.accumulate(a, axis=0)[-1]
+
+
 @np.errstate(over="ignore")
 def mean_over_trees(per_tree: np.ndarray) -> np.ndarray:
-    """np.mean over axis 0 of (M,) or (M, N) per-tree forecasts, except where
-    the running sum of finite values overflows: those entries become the sum
-    of value / M, whose partial sums stay within max |value|."""
-    mean = np.add.reduce(per_tree, axis=0) / len(per_tree)  # np.mean, bit for bit
+    """The mean over axis 0 of (M,) or (M, N) per-tree forecasts, adding the
+    trees in order for every shape, except where the running sum of finite
+    values overflows: those entries become the sum of value / M, in the same
+    order, whose partial sums stay within max |value|."""
+    mean = sum_in_order(per_tree) / len(per_tree)
     if math.isfinite(mean) if per_tree.ndim == 1 else np.isfinite(mean).all():
         return mean
     mean, bad = np.array(mean), ~np.isfinite(mean)  # 0-d for (M,)
     part = per_tree[..., bad]
     # a mean of finite values is in range; only the last rounding can step out
     top = np.where(np.isfinite(part).all(axis=0), np.finfo(np.float64).max, np.inf)
-    mean[bad] = np.clip(np.sum(part / len(per_tree), axis=0), -top, top)
+    mean[bad] = np.clip(sum_in_order(part / len(per_tree)), -top, top)
     return mean

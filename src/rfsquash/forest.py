@@ -24,11 +24,10 @@ Rows go in blocks of ``_CELLS // M`` (at least one), and each step advances
 the (tree, row) cells of a block by one level with four gathers; the
 block's (M, block) nodes are put back in tree order unless the trees
 already come deepest first.
-Each block's leaf values are averaged into the (N,) output along axis 0,
-which adds the trees in order, as over a full (M, N) array, except for a
-row alone in its block: numpy sums an (M, 1) slab pairwise, as it sums one
-row's (M,) values, which can differ in the last bits for M >= 8. The cost
-is O(N * the sum of tree depths), the memory O(N + _CELLS);
+Each block's leaf values are averaged into the (N,) output by adding the
+trees in order, as over a full (M, N) array, a row alone in its block
+included (numpy would sum its (M, 1) slab pairwise). The cost is
+O(N * the sum of tree depths), the memory O(N + _CELLS);
 :func:`traverse_batch` runs the same descent on one tree.
 
 A single row walks Python objects instead: on its first single-row predict
@@ -36,12 +35,13 @@ a :class:`Forest` builds one list over every node in the same layout, an
 internal node a tuple ``(feature, threshold, left, right)`` and a leaf its
 value. Each tree's walk costs a few bytecodes per level, where indexing
 numpy arrays one scalar at a time in :func:`traverse` cost several times
-more; the M leaf values are averaged as one (M,) array, bit for bit as the
-mean of per-tree :func:`tree_predict` values.
+more. The walk adds the M leaf values in tree order as it reaches them, so a
+row's forecast is bit for bit its forecast in any batch.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -381,8 +381,12 @@ def fit_tree(
 
 
 def traverse(tree: DecisionTree, x: np.ndarray) -> int:
-    """Leaf index reached by descending the tree; left branch takes x <= threshold."""
+    """Leaf index reached by descending the tree; left branch takes x <= threshold.
+    x must be one row, a 1-D vector: indexing a matrix would read its rows.
+    A single-leaf tree splits no feature, so it takes a row of any width."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"traverse expects one 1-D row, got an input of shape {x.shape}")
     n_internal = tree.n_internal
     if n_internal == 0:
         return 0
@@ -458,6 +462,9 @@ def forest_predict(forest: Forest, x: np.ndarray) -> float:
     # a row of the wrong width, and index a matrix by its rows
     row = _util.one_row(x, forest.n_features, "forest").tolist()
     nodes, roots = forest._nodes
+    # -0.0 + v is v: the walk adds the leaf values in tree order, as the
+    # batch path does, and keeps them for the rare sum that overflows
+    total = -0.0
     values = []
     for root in roots:
         node = nodes[root]
@@ -465,7 +472,11 @@ def forest_predict(forest: Forest, x: np.ndarray) -> float:
             f, t, left, right = node
             # NaN fails x <= threshold and goes right, as in traverse
             node = nodes[left if row[f] <= t else right]
+        total += node
         values.append(node)
+    mean = total / len(roots)
+    if math.isfinite(mean):
+        return mean
     return float(_util.mean_over_trees(np.array(values)))
 
 

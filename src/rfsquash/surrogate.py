@@ -29,6 +29,14 @@ the probability-weighted sum all reduce over its leading axis, so each step
 is elementwise over contiguous M*block slabs. No temporary holds more than
 ``_CELLS`` logits (or one row's K_max*M, when that is larger), whatever the
 row count.
+
+A single row skips the batch set-up (the input copy, the buffers, the block
+loop): one product of the weights with [x, 1] gives its logits, and the same
+per-block step turns them into its M forecasts, bit for bit those the batch
+path gives the row alone. In a larger block BLAS may sum a row's logits in
+another order, so expectation forecasts can differ there in the last bits.
+The mean over trees adds them in order for every block size, one row
+included.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ PREDICTION_MODES = ("argmax", "expectation")
 # benchmark workload (40, 61 and 90 rows per block at K_max*M = 1600, 1068
 # and 728); halving or doubling it cost up to 31%.
 _CELLS = 2**16
+
+_ONE = np.ones(1)  # appended to a row, for the intercepts
+_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -167,8 +178,10 @@ def _stack_surrogates(
     return _Stack(weights.reshape(k_max * m, n_features + 1), leaf_values, may_overflow)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
-    """(M, N) forecasts of every stacked surrogate at every row of x."""
+    """(M, N) forecasts of every stacked surrogate at every row of x, one
+    row block at a time."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     p = stack.weights.shape[1] - 1
     if x.shape[1] != p:
@@ -188,28 +201,50 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
     # multiplying by a same-shape array runs as one loop; broadcasting the
     # (K_max, M, 1) values runs K_max*M short ones
     values = np.broadcast_to(stack.leaf_values, (k_max, m, block)).copy()
-    flat_values = stack.leaf_values.ravel()
-    tree_offsets = np.arange(m)[:, None]
     out = np.empty((m, n))
-    # overflow in the GEMM gives +/-inf logits, which _shifted_exp resolves
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, block):
-            rows = slice(start, start + block)
-            x_block = x1[rows]
-            b = x_block.shape[0]
-            logits = buffer[: k_max * m * b].reshape(k_max * m, b)
-            np.matmul(stack.weights, x_block.T, out=logits)
-            e = _shifted_exp(logits.reshape(k_max, m, b), axis=0)
-            if mode == "argmax":
-                # normalizing would not move the top leaf; lowest index on
-                # ties, as np.argmax
-                out[:, rows] = flat_values[e.argmax(axis=0) * m + tree_offsets]
-            else:
-                total = e.sum(axis=0)
-                e *= values[:, :, :b]
-                np.divide(e.sum(axis=0), total, out=out[:, rows])
-        if mode == "expectation" and stack.may_overflow and not np.isfinite(out).all():
-            _reweigh_overflowed(stack, x1, out)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        x_block = x1[rows]
+        b = x_block.shape[0]
+        logits = buffer[: k_max * m * b].reshape(k_max * m, b)
+        np.matmul(stack.weights, x_block.T, out=logits)
+        logits = logits.reshape(k_max, m, b)
+        out[:, rows] = _forecasts(stack, logits, x_block, values[:, :, :b], mode)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _row_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
+    """(M,) forecasts of every stacked surrogate at one row x, a float64
+    vector of the stack's width: one product of the weights with [x, 1]
+    gives the (K_max, M, 1) logits, without the batch set-up. BLAS runs the
+    batch path's one-column GEMM as this same product, so the forecasts are
+    bit for bit the batch path's for x alone."""
+    x1 = np.concatenate((x, _ONE))
+    logits = (stack.weights @ x1).reshape(stack.leaf_values.shape)
+    return _forecasts(stack, logits, x1[None], stack.leaf_values, mode)[:, 0]
+
+
+def _forecasts(
+    stack: _Stack, logits: np.ndarray, x1: np.ndarray, values: np.ndarray, mode: str
+) -> np.ndarray:
+    """(M, b) forecasts of the stacked surrogates from their (K_max, M, b)
+    logits, which are overwritten, at the b rows of ``x1`` ([x, 1]), with
+    the leaf values broadcast to (K_max, M, b) in ``values``. The callers
+    ignore overflow and invalid warnings: overflow in their GEMM gives +/-inf
+    logits, which _shifted_exp resolves."""
+    m = logits.shape[1]
+    e = _shifted_exp(logits, axis=0)
+    if mode == "argmax":
+        # normalizing would not move the top leaf; lowest index on ties, as
+        # np.argmax
+        return stack.leaf_values.ravel()[e.argmax(axis=0) * m + np.arange(m)[:, None]]
+    total = e.sum(axis=0)
+    e *= values
+    out = e.sum(axis=0)
+    out /= total
+    if stack.may_overflow and not np.isfinite(out).all():
+        _reweigh_overflowed(stack, x1, out)
     return out
 
 
@@ -280,10 +315,11 @@ def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray, mode: str) -> flo
     """Forecast of one surrogate at one feature vector x in the given mode.
     A single-leaf surrogate has no model to fix the feature count, so it
     takes a vector of any width."""
+    _check_mode(mode)
     x = np.asarray(x)
     p = surrogate.model.n_features if surrogate.model is not None else x.size
     x = _util.one_row(x, p, "surrogate")
-    return float(surrogate_predict_batch(surrogate, x, mode)[0])
+    return float(_row_predictions(_stack_surrogates((surrogate,), p), x, mode)[0])
 
 
 def surrogate_predict_batch(
@@ -341,7 +377,7 @@ def surrogate_forest_predict(sf: SurrogateForest, x: np.ndarray) -> float:
     """Squashed-ensemble forecast at one feature vector x: mean of the
     per-surrogate predictions."""
     x = _util.one_row(x, sf.n_features, "surrogate forest")
-    return float(surrogate_forest_predict_batch(sf, x)[0])
+    return float(_util.mean_over_trees(_row_predictions(sf._stack, x, sf.prediction_mode)))
 
 
 def surrogate_forest_predict_batch(sf: SurrogateForest, x: np.ndarray) -> np.ndarray:

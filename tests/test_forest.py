@@ -517,6 +517,25 @@ class TestTraverse:
         with pytest.raises(ValueError, match="features"):
             traverse_batch(tree, np.zeros((3, 0)))
 
+    def test_rejects_anything_but_one_row(self):
+        # a matrix used to be read by its rows: row 0's leaf for the (3, 1)
+        # matrix, leaf value 1.0 for the (2, 1) one
+        tree = _stump(0.5, 1.0, 2.0)
+        for x in (np.array([[0.9], [0.1], [0.2]]), np.zeros((2, 1)), np.zeros((1, 1)),
+                  np.zeros((2, 2)), np.float64(0.9)):
+            with pytest.raises(ValueError, match="one 1-D row"):
+                traverse(tree, x)
+            with pytest.raises(ValueError, match="one 1-D row"):
+                tree_predict(tree, x)
+        # a single-leaf tree takes a row of any width, but only one row
+        leaf = _single_leaf(7.0)
+        for x in (np.zeros(0), np.zeros(1), np.zeros(5)):
+            assert traverse(leaf, x) == 0
+            assert tree_predict(leaf, x) == 7.0
+        for x in (np.zeros((2, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="one 1-D row"):
+                traverse(leaf, x)
+
     def test_batch_matches_scalar(self):
         ds = gen_friedman1(50, 1.0, seed=8)
         config = ForestConfig(
@@ -676,8 +695,10 @@ class TestForestPredict:
                              for t in forest.trees])
         batch = forest_predict_batch(forest, ds.features)
         np.testing.assert_array_equal(batch, np.mean(per_tree, axis=0))
-        for row, column in zip(ds.features[:10], per_tree.T):
-            assert forest_predict(forest, row) == np.mean(column)
+        # np.mean of one (M,) column would sum it pairwise; a single row adds
+        # the trees in order, as the (M, N) mean does
+        for row, want in zip(ds.features[:10], batch):
+            assert forest_predict(forest, row) == want
 
     def test_recomputation_oracle(self):
         ds = gen_friedman1(100, 1.0, seed=9)
@@ -935,10 +956,12 @@ class TestBatchDescent:
 class TestSingleRowWalk:
     @staticmethod
     def _assert_walk_matches_np_mean(forest, x):
-        for row in x:
-            assert forest_predict(forest, row) == np.mean(
-                [tree_predict(t, row) for t in forest.trees]
-            )
+        # np.mean over axis 0 of the (M, N) per-tree values adds the trees in
+        # order, as the walk does; np.mean of one row's (M,) values would sum
+        # them pairwise
+        per_tree = np.array([[tree_predict(t, row) for row in x] for t in forest.trees])
+        for row, want in zip(x, np.mean(per_tree, axis=0)):
+            assert forest_predict(forest, row) == want
 
     @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
     def test_workload_shaped_forests_match_per_tree_predictions(self, shape):
@@ -949,6 +972,25 @@ class TestSingleRowWalk:
     def test_chain_and_single_leaves(self):
         forest = _mixed_forest()
         self._assert_walk_matches_np_mean(forest, _edge_rows(forest.trees, 3, seed=7))
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES + [None])
+    def test_single_rows_equal_their_batch_rows(self, shape):
+        # Both paths add the trees in order, also for a batch of one row and
+        # a row alone in its last block: numpy would sum either pairwise, and
+        # 127 of 200 rows of a 50-tree forest used to differ in the last bits.
+        forest = _mixed_forest() if shape is None else _workload_forest(*shape)
+        block = forest_module._CELLS // forest.n_trees
+        edges = _edge_rows(forest.trees[:3], forest.n_features, seed=41)
+        # enough random rows that the last one sits alone in its block
+        n = block + (1 - len(edges)) % block
+        x = np.random.default_rng(40).uniform(-0.2, 1.2, (n, forest.n_features))
+        x = np.vstack([edges, x])
+        assert x.shape[0] % block == 1
+        batch = forest_predict_batch(forest, x)
+        for i, row in enumerate(x):
+            assert forest_predict(forest, row) == batch[i]
+        for i in (0, x.shape[0] - 1):
+            assert forest_predict_batch(forest, x[i : i + 1])[0] == batch[i]
 
     def test_nodes_take_at_most_eight_times_the_file(self):
         forest = _workload_forest(*WORKLOAD_SHAPES[2])

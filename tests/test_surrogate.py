@@ -1,11 +1,14 @@
 """Tests for leaf-dataset extraction, surrogate fitting, and squashing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rfsquash import surrogate as surrogate_module
 from rfsquash.codec import decode, encode
-from rfsquash.data import gen_axis_partition, gen_friedman1
-from rfsquash.errors import DataError
+from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
+from rfsquash.errors import DataError, NumericError
 from rfsquash.forest import (
     ForestConfig,
     fit_forest,
@@ -525,3 +528,132 @@ class TestStackedKernel:
         for x in (np.zeros((3, p)), np.float64(0.0)):
             with pytest.raises(ValueError, match="features in one row"):
                 surrogate_predict(leaf, x, "argmax")
+
+
+# (noise columns, split candidates, depth, trees) of pilot_d8, wide_p30, serve_d5
+WORKLOAD_SHAPES = [(0, 10, 8, 12), (20, 30, 8, 8), (0, 10, 5, 50)]
+
+
+@pytest.fixture(scope="module", params=WORKLOAD_SHAPES)
+def workload_surrogate_forest(request):
+    """A squashed forest of the benchmark's shape: Friedman #1 with noise
+    columns, a 1000-row subsample, k split candidates, depth and M trees.
+    Two Newton steps per surrogate give realistic weights quickly."""
+    noise_columns, k, depth, m = request.param
+    ds = gen_friedman1(1500, 1.0, seed=depth + m)
+    if noise_columns:
+        noise = np.random.default_rng(m).random((ds.n_rows, noise_columns))
+        ds = Dataset(responses=ds.responses, features=np.hstack([ds.features, noise]))
+    config = ForestConfig(
+        subsample_size=1000, features_per_split=k, max_depth=depth, n_trees=m,
+        min_leaf=8, seed=m,
+    )
+    return squash_forest(fit_forest(ds, config), ds, MlrFitConfig(max_iterations=2))
+
+
+def _assert_row_equals_batch_of_one(sf, x):
+    """The one-row path against the batch path on x alone, bit for bit:
+    every per-tree forecast and the forest's mean."""
+    mode = sf.prediction_mode
+    for row in x:
+        np.testing.assert_array_equal(
+            surrogate_module._row_predictions(sf._stack, row, mode),
+            surrogate_module._per_tree_predictions(sf._stack, row[None], mode)[:, 0],
+        )
+        assert surrogate_forest_predict(sf, row) == surrogate_forest_predict_batch(
+            sf, row[None]
+        )[0]
+
+
+class TestOneRowPath:
+    """A single row takes one product over the stack instead of the batch
+    set-up, and gets the forecasts the batch path gives it alone."""
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_padding_and_single_leaves(self, mode):
+        sf = _mixed_surrogate_forest(mode)
+        rng = np.random.default_rng(60)
+        x = np.vstack([
+            rng.normal(scale=2, size=(200, sf.n_features)),
+            np.zeros((1, sf.n_features)),
+            np.full((1, sf.n_features), -0.0),
+            np.full((1, sf.n_features), 1e3),
+        ])
+        _assert_row_equals_batch_of_one(sf, x)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_workload_shaped_forests(self, workload_surrogate_forest, mode):
+        sf = dataclasses.replace(workload_surrogate_forest, prediction_mode=mode)
+        x = np.random.default_rng(61).uniform(-0.2, 1.2, (100, sf.n_features))
+        _assert_row_equals_batch_of_one(sf, x)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_infinite_logit_and_overflowing_leaf_values(self, mode):
+        # 1e300 * 1e10 overflows to a +inf logit at x = 1e10 (-inf at -1e10);
+        # the zero model with leaf values 1.5e308 overflows the sum of e * v
+        # in expectation mode and is reweighed
+        hot = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1e300]])),
+            leaf_values=np.array([1.0, 2.0]),
+        )
+        big = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.zeros((1, 1))),
+            leaf_values=np.array([1.5e308, 1.5e308]),
+        )
+        rest = _mixed_surrogate_forest(mode, p=1).surrogates
+        surrogates = (hot, big) + rest
+        config = ForestConfig(
+            subsample_size=10, features_per_split=1, max_depth=4, n_trees=len(surrogates)
+        )
+        sf = SurrogateForest(
+            surrogates=surrogates, config=config, prediction_mode=mode, n_features=1
+        )
+        x = np.array([[1e10], [-1e10], [0.5], [-2.0]])
+        _assert_row_equals_batch_of_one(sf, x)
+        per_tree = surrogate_module._row_predictions(sf._stack, x[0], mode)
+        assert per_tree[0] == 1.0 and per_tree[1] == 1.5e308
+        assert surrogate_module._row_predictions(sf._stack, x[1], mode)[0] == 2.0
+
+    def test_nan_logit_raises_on_both_paths(self):
+        # a NaN feature gives a NaN logit (as can inf - inf inside the GEMM)
+        lone = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1.0, -1.0]])),
+            leaf_values=np.array([1.0, 2.0]),
+        )
+        config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
+        for mode in ("argmax", "expectation"):
+            sf = SurrogateForest(
+                surrogates=(lone,), config=config, prediction_mode=mode, n_features=2
+            )
+            x = np.array([np.nan, 1.0])
+            with pytest.raises(NumericError, match="NaN"):
+                surrogate_forest_predict(sf, x)
+            with pytest.raises(NumericError, match="NaN"):
+                surrogate_forest_predict_batch(sf, x[None])
+            with pytest.raises(NumericError, match="NaN"):
+                surrogate_predict(lone, x, mode)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_single_rows_build_only_the_stack(self, mode, monkeypatch):
+        blob = encode(_mixed_surrogate_forest(mode))
+        model = decode(blob)
+        fields = {f.name for f in dataclasses.fields(model)}
+        # decode alone is what loading times
+        assert set(vars(model)) == fields
+
+        def no_batch(*args):
+            raise AssertionError("single rows must not take the batch path")
+
+        monkeypatch.setattr(surrogate_module, "_per_tree_predictions", no_batch)
+        x = np.random.default_rng(62).normal(scale=2, size=(5, model.n_features))
+        want = [surrogate_forest_predict(model, row) for row in x]
+        for s in model.surrogates:
+            surrogate_predict(s, x[0], mode)
+        assert set(vars(model)) == fields | {"_stack"}
+        assert all(set(vars(s)) == {f.name for f in dataclasses.fields(s)}
+                   for s in model.surrogates)
+        assert encode(model) == blob
+        assert model == dataclasses.replace(model)
+        monkeypatch.undo()
+        for row, value in zip(x, want):
+            assert surrogate_forest_predict_batch(model, row[None])[0] == value

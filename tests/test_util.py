@@ -1,9 +1,16 @@
-"""Tests for seed derivation and the thread-pool helper."""
+"""Tests for seed derivation, the thread-pool helper and the in-order sums."""
 
 import numpy as np
 import pytest
 
-from rfsquash._util import derive_seed, parallel_map, rng_for, thread_count
+from rfsquash._util import (
+    derive_seed,
+    mean_over_trees,
+    parallel_map,
+    rng_for,
+    sum_in_order,
+    thread_count,
+)
 
 
 class TestSeeds:
@@ -42,3 +49,38 @@ class TestThreads:
         assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
         monkeypatch.setenv("RFSQ_THREADS", "1")
         assert parallel_map(lambda v: v + 1, items) == [v + 1 for v in items]
+
+
+class TestSumInOrder:
+    # 1 + 2**-53 rounds back to 1 at every step in order; numpy's pairwise
+    # sum of a lone column adds the small terms first and gets past 1
+    COLUMN = np.array([1.0] + [2.0**-53] * 15)
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 1), (16, 1, 1)])
+    def test_lone_column_adds_in_order(self, shape):
+        total = sum_in_order(self.COLUMN.reshape(shape))
+        assert total.shape == shape[1:]
+        assert np.all(total == 1.0)
+        assert np.all(mean_over_trees(self.COLUMN.reshape(shape[:2])) == 1.0 / 16)
+
+    @pytest.mark.parametrize("m", [2, 8, 9, 50])
+    def test_every_shape_adds_the_trees_in_order(self, m):
+        # a tree's values sum the same in an (M,) row, an (M, 1) slab and a
+        # column of an (M, N) block of either layout; with values near the
+        # largest float the running sum overflows and the fallback adds v / M
+        rng = np.random.default_rng(m)
+        for low, scale, fallback in ((0.5, 1.7, False), (0.95, 1.79e308, True)):
+            block = rng.uniform(low, 1.0, (m, 5)) * scale
+            want = np.empty(5)
+            for j in range(5):
+                total = block[0, j] / m if fallback else block[0, j]
+                for v in block[1:, j]:
+                    total += v / m if fallback else v
+                want[j] = total if fallback else total / m
+            assert np.all(np.isfinite(want))
+            np.testing.assert_array_equal(mean_over_trees(block), want)
+            np.testing.assert_array_equal(mean_over_trees(np.asfortranarray(block)), want)
+            for j in range(5):
+                assert mean_over_trees(block[:, j]) == want[j]
+                assert mean_over_trees(block[:, j].copy()) == want[j]
+                assert mean_over_trees(block[:, j : j + 1])[0] == want[j]
