@@ -1,4 +1,4 @@
-"""Seed derivation, thread-pool, single-row and ensemble-mean helpers used
+"""Seed derivation, thread-pool, input-shape and ensemble-mean helpers used
 across modules."""
 
 from __future__ import annotations
@@ -62,6 +62,19 @@ def one_row(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
             f"of shape {x.shape}"
         )
     return x
+
+
+def rows(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
+    """x as a float64 (N, n_features) matrix, a vector of n_features values
+    being one row. Anything else raises ValueError: a wrong width, a lone
+    number or an array of three or more dimensions."""
+    x = np.asarray(x, dtype=np.float64)
+    if not 1 <= x.ndim <= 2 or x.shape[-1] != n_features:
+        raise ValueError(
+            f"{owner} expects {n_features} features per row, got an input "
+            f"of shape {x.shape}"
+        )
+    return np.atleast_2d(x)
 
 
 def sum_in_order(a: np.ndarray) -> np.ndarray:

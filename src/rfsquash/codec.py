@@ -264,12 +264,8 @@ def encode(model: Forest | SurrogateForest, float_width: str = "f64") -> bytes:
         raise ValueError(f"float_width must be one of {sorted(FLOAT_WIDTHS)}")
     width = FLOAT_WIDTHS[float_width]
     if isinstance(model, Forest):
-        if not model.trees:
-            raise CodecError("refusing to encode a forest with zero trees")
         kind, encode_payload = KIND_FOREST, _encode_forest_payload
     elif isinstance(model, SurrogateForest):
-        if not model.surrogates:
-            raise CodecError("refusing to encode a surrogate forest with zero trees")
         kind, encode_payload = KIND_SURROGATE, _encode_surrogate_payload
     else:
         raise TypeError(f"cannot encode {type(model).__name__}")

@@ -463,9 +463,8 @@ def forest_predict(forest: Forest, x: np.ndarray) -> float:
     row = _util.one_row(x, forest.n_features, "forest").tolist()
     nodes, roots = forest._nodes
     # -0.0 + v is v: the walk adds the leaf values in tree order, as the
-    # batch path does, and keeps them for the rare sum that overflows
+    # batch path does; the rare sum that overflows is left to the batch path
     total = -0.0
-    values = []
     for root in roots:
         node = nodes[root]
         while node.__class__ is tuple:
@@ -473,21 +472,16 @@ def forest_predict(forest: Forest, x: np.ndarray) -> float:
             # NaN fails x <= threshold and goes right, as in traverse
             node = nodes[left if row[f] <= t else right]
         total += node
-        values.append(node)
     mean = total / len(roots)
     if math.isfinite(mean):
         return mean
-    return float(_util.mean_over_trees(np.array(values)))
+    return float(forest_predict_batch(forest, row)[0])
 
 
 def forest_predict_batch(forest: Forest, x: np.ndarray) -> np.ndarray:
     """Ensemble forecasts at every row of x: the mean over trees, taken one
     row block at a time."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != forest.n_features:
-        raise ValueError(
-            f"input has {x.shape[1]} features, forest expects {forest.n_features}"
-        )
+    x = _util.rows(x, forest.n_features, "forest")
     flat = forest._flat
     out = np.empty(x.shape[0])
     for rows, nodes in _descend_blocks(flat, x):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from . import _util
 from .errors import NumericError
 
 _MAX_HALVINGS = 50
@@ -163,11 +164,7 @@ def multinomial_pmf(counts, theta, n: int) -> float:
 
 def _logit_matrix(model: MlrModel, x: np.ndarray) -> np.ndarray:
     """(N, K) logits with the base-category column fixed at zero."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"input has {x.shape[1]} features, model expects {model.n_features}"
-        )
+    x = _util.rows(x, model.n_features, "mlr model")
     logits = np.zeros((x.shape[0], model.n_categories))
     with np.errstate(over="ignore", invalid="ignore"):  # _softmax handles inf/NaN
         logits[:, :-1] = model.intercepts + x @ model.coefficients.T
@@ -204,6 +201,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def class_probabilities(model: MlrModel, x: np.ndarray) -> np.ndarray:
     """Category probabilities for one feature vector; sums to 1."""
+    x = _util.one_row(x, model.n_features, "mlr model")
     return _softmax(_logit_matrix(model, x))[0]
 
 
@@ -257,7 +255,7 @@ def penalized_gradient(
     """Gradient of the penalized log-likelihood, flattened in the fixed order
     (intercept_1, coefs_1, ..., intercept_{K-1}, coefs_{K-1})."""
     labels = _check_labels(labels, model.n_categories)
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = _util.rows(features, model.n_features, "mlr model")
     probs = class_probability_matrix(model, x)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(labels.shape[0]), labels] = 1.0

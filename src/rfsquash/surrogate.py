@@ -181,13 +181,9 @@ def _stack_surrogates(
 @np.errstate(over="ignore", invalid="ignore")
 def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
     """(M, N) forecasts of every stacked surrogate at every row of x, one
-    row block at a time."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    p = stack.weights.shape[1] - 1
-    if x.shape[1] != p:
-        raise ValueError(f"input has {x.shape[1]} features, model expects {p}")
+    row block at a time. x must be a (N, p) matrix of the stack's width p."""
+    n, p = x.shape
     k_max, m, _ = stack.leaf_values.shape
-    n = x.shape[0]
     block = max(1, min(_CELLS // (k_max * m), n))
     # [x, 1], so that the GEMM adds the intercepts. Being a fresh row-major
     # copy, it also keeps a row's forecast independent of the layout x came
@@ -322,19 +318,6 @@ def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray, mode: str) -> flo
     return float(_row_predictions(_stack_surrogates((surrogate,), p), x, mode)[0])
 
 
-def surrogate_predict_batch(
-    surrogate: TreeSurrogate, x: np.ndarray, mode: str
-) -> np.ndarray:
-    """Forecasts of one surrogate at every row of x in the given mode. A
-    single-leaf surrogate has no model to fix the feature count, so it takes
-    any width."""
-    _check_mode(mode)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    p = surrogate.model.n_features if surrogate.model is not None else x.shape[1]
-    stack = _stack_surrogates((surrogate,), p)
-    return _per_tree_predictions(stack, x, mode)[0]
-
-
 def squash_forest(
     forest: Forest,
     dataset: Dataset,
@@ -383,4 +366,5 @@ def surrogate_forest_predict(sf: SurrogateForest, x: np.ndarray) -> float:
 def surrogate_forest_predict_batch(sf: SurrogateForest, x: np.ndarray) -> np.ndarray:
     """Squashed-ensemble forecasts at every row of x: the mean over the
     (M, N) per-surrogate forecasts, the same reduction the forest uses."""
+    x = _util.rows(x, sf.n_features, "surrogate forest")
     return _util.mean_over_trees(_per_tree_predictions(sf._stack, x, sf.prediction_mode))

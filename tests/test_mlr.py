@@ -462,6 +462,21 @@ class TestPredictClass:
         for x in (np.zeros(2), np.ones(2) * 100):
             assert predict_class(model, x) == 0
 
+    def test_single_row_calls_reject_a_matrix(self):
+        # both used to answer a matrix with its first row: class 0 here,
+        # though row 1's class is 1
+        model = MlrModel(np.zeros(2), np.eye(2))
+        x = np.array([[5.0, 0.0], [0.0, 5.0]])
+        for bad in (x, x[1:], np.float64(0.0)):
+            with pytest.raises(ValueError, match="mlr model expects 2 features in one row"):
+                class_probabilities(model, bad)
+            with pytest.raises(ValueError, match="mlr model expects 2 features in one row"):
+                predict_class(model, bad)
+        assert [predict_class(model, row) for row in x] == [0, 1]
+        np.testing.assert_array_equal(
+            class_probabilities(model, x[1]), class_probability_matrix(model, x)[1]
+        )
+
     def test_matches_recomputed_argmax(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

@@ -28,7 +28,6 @@ from rfsquash.surrogate import (
     surrogate_forest_predict,
     surrogate_forest_predict_batch,
     surrogate_predict,
-    surrogate_predict_batch,
 )
 
 
@@ -43,6 +42,12 @@ def _fitted_tree(dataset, depth, k=None, min_leaf=1, seed=0):
     )
     rows = np.arange(dataset.n_rows)
     return fit_tree(dataset, rows, config, tree_seed=seed), rows
+
+
+def _surrogate_batch(surrogate, x, mode):
+    """One surrogate's forecasts at every row of the (N, p) matrix x."""
+    stack = surrogate_module._stack_surrogates((surrogate,), x.shape[1])
+    return surrogate_module._per_tree_predictions(stack, x, mode)[0]
 
 
 class TestExtractLeafDataset:
@@ -213,7 +218,7 @@ class TestSurrogatePredict:
             leaf_values=np.array([1.0, 5.0, 9.0]),
         )
         x = rng.normal(size=(20, 3))
-        batch = surrogate_predict_batch(surrogate, x, "expectation")
+        batch = _surrogate_batch(surrogate, x, "expectation")
         scalar = np.array([surrogate_predict(surrogate, row, "expectation") for row in x])
         np.testing.assert_allclose(batch, scalar, atol=0)
 
@@ -225,7 +230,7 @@ class TestSurrogatePredict:
             model=MlrModel(np.zeros(1), np.array([[1e300]])),
             leaf_values=np.array([1.0, 2.0]),
         )
-        predictions = surrogate_predict_batch(surrogate, np.array([[1e10], [-1e10]]), mode)
+        predictions = _surrogate_batch(surrogate, np.array([[1e10], [-1e10]]), mode)
         np.testing.assert_array_equal(predictions, [1.0, 2.0])
 
     def test_overflowing_weighted_leaf_values_stay_finite(self):
@@ -237,7 +242,7 @@ class TestSurrogatePredict:
         )
         rows = np.array([[0.5], [-2.0]])
         np.testing.assert_array_equal(
-            surrogate_predict_batch(surrogate, rows, "expectation"), 1.5e308
+            _surrogate_batch(surrogate, rows, "expectation"), 1.5e308
         )
         assert surrogate_predict(surrogate, rows[0], "expectation") == 1.5e308
 
@@ -388,7 +393,7 @@ class TestSurrogateForestPredict:
             n_features=1,
         )
         rows = np.array([[0.5], [-2.0], [0.125]])
-        want = (expected + surrogate_predict_batch(small, rows, "expectation")) / 2
+        want = (expected + _surrogate_batch(small, rows, "expectation")) / 2
         np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, rows), want)
         assert surrogate_forest_predict(sf, rows[2]) == want[2]
 

@@ -1,4 +1,7 @@
-"""Tests for seed derivation, the thread-pool helper and the in-order sums."""
+"""Tests for seed derivation, the thread-pool helper, the input-shape rule
+and the in-order sums."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +11,14 @@ from rfsquash._util import (
     mean_over_trees,
     parallel_map,
     rng_for,
+    rows,
     sum_in_order,
     thread_count,
 )
+from rfsquash.data import gen_friedman1
+from rfsquash.forest import ForestConfig, fit_forest, forest_predict_batch
+from rfsquash.mlr import MlrModel, class_probability_matrix
+from rfsquash.surrogate import SurrogateForest, TreeSurrogate, surrogate_forest_predict_batch
 
 
 class TestSeeds:
@@ -84,3 +92,55 @@ class TestSumInOrder:
                 assert mean_over_trees(block[:, j]) == want[j]
                 assert mean_over_trees(block[:, j].copy()) == want[j]
                 assert mean_over_trees(block[:, j : j + 1])[0] == want[j]
+
+
+def _batch_predictors():
+    """(owner, predictor) for every batch predictor, each over 10 features."""
+    config = ForestConfig(
+        subsample_size=30, features_per_split=10, max_depth=2, n_trees=2, seed=1
+    )
+    forest = fit_forest(gen_friedman1(60, 1.0, seed=0), config)
+    rng = np.random.default_rng(5)
+    model = MlrModel(rng.normal(size=2), rng.normal(size=(2, 10)))
+    surrogates = (
+        TreeSurrogate(model=model, leaf_values=np.array([1.0, 2.0, 4.0])),
+        TreeSurrogate(model=None, leaf_values=np.array([3.0])),
+    )
+    predictors = [
+        ("forest", lambda x: forest_predict_batch(forest, x)),
+        ("mlr model", lambda x: class_probability_matrix(model, x)),
+    ]
+    for mode in ("argmax", "expectation"):
+        sf = SurrogateForest(
+            surrogates=surrogates, config=config, prediction_mode=mode, n_features=10
+        )
+        predictors.append(
+            ("surrogate forest", lambda x, sf=sf: surrogate_forest_predict_batch(sf, x))
+        )
+    return predictors
+
+
+class TestRows:
+    def test_converts_and_keeps_matrices(self):
+        x = rows(np.ones((3, 2), dtype=np.float32), 2, "model")
+        assert x.dtype == np.float64 and x.shape == (3, 2)
+        np.testing.assert_array_equal(rows([1, 2], 2, "model"), [[1.0, 2.0]])
+        assert rows(np.zeros((0, 2)), 2, "model").shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "owner, predict", _batch_predictors(),
+        ids=["forest", "mlr", "surrogate-argmax", "surrogate-expectation"],
+    )
+    def test_every_batch_predictor_keeps_one_rule(self, owner, predict):
+        x = np.random.default_rng(7).uniform(size=(4, 10))
+        np.testing.assert_array_equal(predict(x[1]), predict(x[1:2]))
+        assert len(predict(x)) == 4
+        assert len(predict(np.zeros((0, 10)))) == 0
+        # a 3-D array used to pass the width check and fail inside numpy
+        for bad in (
+            np.zeros((4, 9)), np.zeros(11), np.float64(0.0), 0.0,
+            np.zeros((2, 3, 10)), np.zeros((2, 10, 10)),
+        ):
+            message = f"{owner} expects 10 features per row, got an input of shape {np.shape(bad)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                predict(bad)
