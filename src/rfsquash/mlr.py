@@ -37,6 +37,7 @@ from . import _util
 from .errors import NumericError
 
 _MAX_HALVINGS = 50
+NAN_LOGIT = "a logit is NaN: the features or parameters overflowed"
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def _shifted_exp(logits: np.ndarray, axis: int) -> np.ndarray:
     top = logits.max(axis=axis, keepdims=True)
     if not np.isfinite(top).all():
         if np.isnan(top).any():
-            raise NumericError("a logit is NaN: the features or parameters overflowed")
+            raise NumericError(NAN_LOGIT)
         hot = top == np.inf
         logits[...] = np.where(hot, np.where(logits == np.inf, 0.0, -np.inf), logits)
         top[hot] = 0.0

@@ -8,8 +8,8 @@ The tree structure is then discarded: a surrogate stores only (K-1)(p+1)
 regression parameters plus the K leaf values, independent of sample size.
 
 Two prediction modes realize the surrogate forecast. The mode belongs to the
-ensemble, not to a tree: it is held once, on :class:`SurrogateForest`, and a
-lone :class:`TreeSurrogate` is predicted in a mode passed with it.
+ensemble, not to a tree: it is held once, on :class:`SurrogateForest`, and
+only a forest predicts.
 
 * ``argmax``: the leaf value of the most probable leaf (hard routing, mimics
   the tree).
@@ -24,19 +24,27 @@ The base leaf has zero weights and a zero intercept; padding leaves have a
 -inf intercept and a zero leaf value, so they get probability 0 and add
 nothing. Rows are predicted in blocks of ``_CELLS // (K_max*M)`` (at least
 one): one GEMM against the rows with a column of ones appended gives a
-(K_max, M, block) logit array, and the softmax numerators, the argmax and
-the probability-weighted sum all reduce over its leading axis, so each step
-is elementwise over contiguous M*block slabs. No temporary holds more than
-``_CELLS`` logits (or one row's K_max*M, when that is larger), whatever the
-row count.
+(K_max, M, block) logit array. No temporary holds more than ``_CELLS``
+logits (or one row's K_max*M, when that is larger), whatever the row count.
+
+Argmax mode ranks the raw logits, so the larger of two distinct logits wins
+even where their probabilities round equal. Expectation mode exponentiates
+the raw logits without the softmax shift: the base leaf's logit is 0 at
+every finite row, so each surrogate's sum of exponentials is at least 1.
+One batched product of an (M, 2, K_max) table of [leaf values; ones] with
+the exponentials gives sum(e * v) and sum(e) together. Where either is not
+finite (a logit past about 709.78, exponentials or e * v whose sum
+overflows, a +inf or NaN logit), the same logits go through the shifted
+formula, which shares a +inf logit's mass evenly and raises NumericError
+on a NaN logit, as argmax does.
 
 A single row skips the batch set-up (the input copy, the buffers, the block
 loop): one product of the weights with [x, 1] gives its logits, and the same
 per-block step turns them into its M forecasts, bit for bit those the batch
-path gives the row alone. In a larger block BLAS may sum a row's logits in
-another order, so expectation forecasts can differ there in the last bits.
-The mean over trees adds them in order for every block size, one row
-included.
+path gives the row alone. In a larger block BLAS may sum a row's products in
+another order, so expectation forecasts can differ there in the last bits;
+argmax ones agree while the logits are finite. The mean over trees adds
+them in order for every block size, one row included.
 """
 
 from __future__ import annotations
@@ -49,17 +57,17 @@ import numpy as np
 
 from . import _util
 from .data import Dataset
-from .errors import DataError
+from .errors import DataError, NumericError
 from .forest import DecisionTree, Forest, ForestConfig, rederive_subsamples, traverse_batch
-from .mlr import MlrFitConfig, MlrModel, _shifted_exp, fit_mlr
+from .mlr import NAN_LOGIT, MlrFitConfig, MlrModel, _shifted_exp, fit_mlr
 
 PREDICTION_MODES = ("argmax", "expectation")
 
 # Logits per row block: a block's temporaries stay a few hundred KiB, inside
-# the L2 cache, at any row count. On a 2-vCPU x86-64 VM with single-threaded
-# OpenBLAS, 2**16 was the fastest of 2**14 to 2**18 for 20k rows on every
-# benchmark workload (40, 61 and 90 rows per block at K_max*M = 1600, 1068
-# and 728); halving or doubling it cost up to 31%.
+# the L2 cache. On a 2-vCPU x86-64 VM with single-threaded OpenBLAS, 20k-row
+# expectation batches took (best of 15) 78.9, 76.2 and 72.4 ms at 2**15, 2**16
+# and 2**17 on the serve_d5 model (40 rows per block at 2**16), 60.0, 47.5 and
+# 47.4 ms on pilot_d8 (62 rows) and 53.0, 43.3 and 48.0 ms on wide_p30 (95).
 _CELLS = 2**16
 
 _ONE = np.ones(1)  # appended to a row, for the intercepts
@@ -150,11 +158,10 @@ class _Stack(NamedTuple):
     # (K_max*M, p+1): row k*M + m is leaf k of surrogate m, coefficients then
     # intercept; the intercept is 0 at base leaves and -inf on padding
     weights: np.ndarray
-    leaf_values: np.ndarray  # (K_max, M, 1); 0 on padding
-    # whether the |leaf values| of some surrogate sum past half the largest
-    # float: only then can its expectation-mode sum of e * v (each e <= 1)
-    # overflow, so only then is the output checked
-    may_overflow: bool
+    # (M, 2, K_max): values[m, 0] holds the leaf values of surrogate m (0 on
+    # padding) and values[m, 1] ones, so that one product with the
+    # exponentials gives both sum(e * v) and sum(e)
+    values: np.ndarray
 
 
 def _stack_surrogates(
@@ -164,18 +171,16 @@ def _stack_surrogates(
     k_max = max(s.n_leaves for s in surrogates)
     weights = np.zeros((k_max, m, n_features + 1))
     weights[:, :, -1] = -np.inf
-    leaf_values = np.zeros((k_max, m, 1))
+    values = np.zeros((m, 2, k_max))
+    values[:, 1] = 1.0
     for j, s in enumerate(surrogates):
         k = s.n_leaves
         weights[k - 1, j, -1] = 0.0
-        leaf_values[:k, j, 0] = s.leaf_values
+        values[j, 0, :k] = s.leaf_values
         if s.model is not None:
             weights[: k - 1, j, :-1] = s.model.coefficients
             weights[: k - 1, j, -1] = s.model.intercepts
-    with np.errstate(over="ignore"):
-        sums = np.abs(leaf_values).sum(axis=0)
-    may_overflow = bool(sums.max() > np.finfo(np.float64).max / 2)
-    return _Stack(weights.reshape(k_max * m, n_features + 1), leaf_values, may_overflow)
+    return _Stack(weights.reshape(k_max * m, n_features + 1), values)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -183,7 +188,7 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
     """(M, N) forecasts of every stacked surrogate at every row of x, one
     row block at a time. x must be a (N, p) matrix of the stack's width p."""
     n, p = x.shape
-    k_max, m, _ = stack.leaf_values.shape
+    m, _, k_max = stack.values.shape
     block = max(1, min(_CELLS // (k_max * m), n))
     # [x, 1], so that the GEMM adds the intercepts. Being a fresh row-major
     # copy, it also keeps a row's forecast independent of the layout x came
@@ -191,12 +196,11 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
     x1 = np.empty((n, p + 1))
     x1[:, :p] = x
     x1[:, p] = 1.0
-    # one logit buffer per call: allocating it per block costs more than the
-    # GEMM once the allocator hands out blocks this size as fresh pages
+    # one logit and one exponential buffer per call: allocating them per
+    # block costs more than the GEMM once the allocator hands out blocks this
+    # size as fresh pages
     buffer = np.empty(k_max * m * block)
-    # multiplying by a same-shape array runs as one loop; broadcasting the
-    # (K_max, M, 1) values runs K_max*M short ones
-    values = np.broadcast_to(stack.leaf_values, (k_max, m, block)).copy()
+    exps = np.empty(k_max * m * block)
     out = np.empty((m, n))
     for start in range(0, n, block):
         rows = slice(start, start + block)
@@ -204,8 +208,8 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
         b = x_block.shape[0]
         logits = buffer[: k_max * m * b].reshape(k_max * m, b)
         np.matmul(stack.weights, x_block.T, out=logits)
-        logits = logits.reshape(k_max, m, b)
-        out[:, rows] = _forecasts(stack, logits, x_block, values[:, :, :b], mode)
+        e = exps[: k_max * m * b].reshape(k_max, m, b)
+        out[:, rows] = _forecasts(stack, logits.reshape(k_max, m, b), mode, e)
     return out
 
 
@@ -216,47 +220,55 @@ def _row_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
     gives the (K_max, M, 1) logits, without the batch set-up. BLAS runs the
     batch path's one-column GEMM as this same product, so the forecasts are
     bit for bit the batch path's for x alone."""
+    m, _, k_max = stack.values.shape
     x1 = np.concatenate((x, _ONE))
-    logits = (stack.weights @ x1).reshape(stack.leaf_values.shape)
-    return _forecasts(stack, logits, x1[None], stack.leaf_values, mode)[:, 0]
+    logits = (stack.weights @ x1).reshape(k_max, m, 1)
+    return _forecasts(stack, logits, mode)[:, 0]
 
 
 def _forecasts(
-    stack: _Stack, logits: np.ndarray, x1: np.ndarray, values: np.ndarray, mode: str
+    stack: _Stack, logits: np.ndarray, mode: str, e: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """(M, b) forecasts of the stacked surrogates from their (K_max, M, b)
-    logits, which are overwritten, at the b rows of ``x1`` ([x, 1]), with
-    the leaf values broadcast to (K_max, M, b) in ``values``. The callers
-    ignore overflow and invalid warnings: overflow in their GEMM gives +/-inf
-    logits, which _shifted_exp resolves."""
-    m = logits.shape[1]
-    e = _shifted_exp(logits, axis=0)
+    logits; ``e``, if given, is a buffer of that shape for the exponentials.
+    The callers ignore overflow and invalid warnings: overflow in their GEMM
+    or in exp gives infinite or NaN entries, which are resolved below."""
+    k_max, m, b = logits.shape
     if mode == "argmax":
-        # normalizing would not move the top leaf; lowest index on ties, as
-        # np.argmax
-        return stack.leaf_values.ravel()[e.argmax(axis=0) * m + np.arange(m)[:, None]]
-    total = e.sum(axis=0)
-    e *= values
-    out = e.sum(axis=0)
-    out /= total
-    if stack.may_overflow and not np.isfinite(out).all():
-        _reweigh_overflowed(stack, x1, out)
+        # the top logit is the top probability, lowest index on ties; argmax
+        # takes a column's first NaN, so checking the chosen logits finds all
+        top = logits.argmax(axis=0)
+        if np.isnan(logits.ravel()[top * (m * b) + np.arange(m * b).reshape(m, b)]).any():
+            raise NumericError(NAN_LOGIT)
+        return stack.values.ravel()[top + 2 * k_max * np.arange(m)[:, None]]
+    # the base leaf's logit is 0 at every finite row, so sum(e) >= 1 unless a
+    # logit is NaN or the exponentials overflow: no shift is needed
+    e = np.exp(logits, out=e)
+    sums = np.matmul(stack.values, e.transpose(1, 0, 2))  # (M, 2, b)
+    total = sums[:, 1]
+    out = sums[:, 0] / total
+    # an infinite or NaN e makes the total so; finite exponentials can sum
+    # past the float range (out = num / inf = 0), and so can e * v alone
+    bad = ~np.isfinite(total)
+    bad |= ~np.isfinite(out)
+    if bad.any():
+        _reweigh_overflowed(stack, logits, out, bad)
     return out
 
 
-def _reweigh_overflowed(stack: _Stack, x1: np.ndarray, out: np.ndarray) -> None:
-    """Recompute in place, as sum((e / sum(e)) * v), the expectation-mode
-    entries of ``out`` that are not finite. Where the surrogate's leaf values
-    are finite, the sum of e * v overflowed before the division; the weights
-    sum to one, so the partial sums stay within max |v| up to the last
-    roundings, which are clipped. Where one is not, the entry comes out
-    non-finite again."""
-    k_max, m, _ = stack.leaf_values.shape
-    trees, rows = np.nonzero(~np.isfinite(out))
-    weights = stack.weights.reshape(k_max, m, -1)[:, trees]
-    e = _shifted_exp(np.einsum("kbj,bj->kb", weights, x1[rows]), axis=0)
+def _reweigh_overflowed(
+    stack: _Stack, logits: np.ndarray, out: np.ndarray, bad: np.ndarray
+) -> None:
+    """Recompute in place the expectation-mode entries of ``out`` where
+    ``bad`` is set, from the same (K_max, M, b) logits, as sum((e / sum(e))
+    * v) with e the shifted exponentials (see mlr._shifted_exp: a NaN logit
+    raises NumericError, +inf logits share the mass). The weights sum to one,
+    so the partial sums stay within max |v| up to the last roundings, which
+    are clipped."""
+    trees, rows = np.nonzero(bad)
+    e = _shifted_exp(logits[:, trees, rows], axis=0)
     e /= e.sum(axis=0)
-    values = stack.leaf_values[:, trees, 0]
+    values = stack.values[trees, 0].T
     top = np.abs(values).max(axis=0)
     out[trees, rows] = np.clip((e * values).sum(axis=0), -top, top)
 
@@ -305,17 +317,6 @@ def fit_surrogate(
     return TreeSurrogate(
         model=result.model, leaf_values=tree.leaf_values.copy(), converged=result.converged
     )
-
-
-def surrogate_predict(surrogate: TreeSurrogate, x: np.ndarray, mode: str) -> float:
-    """Forecast of one surrogate at one feature vector x in the given mode.
-    A single-leaf surrogate has no model to fix the feature count, so it
-    takes a vector of any width."""
-    _check_mode(mode)
-    x = np.asarray(x)
-    p = surrogate.model.n_features if surrogate.model is not None else x.size
-    x = _util.one_row(x, p, "surrogate")
-    return float(_row_predictions(_stack_surrogates((surrogate,), p), x, mode)[0])
 
 
 def squash_forest(

@@ -350,6 +350,29 @@ class TestEvaluateAndPredict:
         report = run_json(capsys, "predict", str(model_path), str(probe_csv))
         assert report["predictions"] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_nan_logit_exits_3(self, capsys, tmp_path, monkeypatch, mode):
+        # The CSV reader admits only finite cells, and whether a row's
+        # overflowing products meet as inf - inf depends on the order BLAS
+        # adds them in, so the NaN logit comes from a NaN feature handed past
+        # the reader.
+        surrogate = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1.0]])),
+            leaf_values=np.array([1.0, 2.0]),
+        )
+        config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
+        model_path = tmp_path / "s.rfsq"
+        model_path.write_bytes(encode(SurrogateForest(
+            surrogates=(surrogate,), config=config, prediction_mode=mode, n_features=1,
+        )))
+        probe_csv = tmp_path / "probe.csv"
+        probe_csv.write_text("x1\n0.5\n0.5\n")
+        monkeypatch.setattr(cli, "_load_features", lambda *args: np.array([[0.5], [np.nan]]))
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(probe_csv))
+        assert code == 3
+        assert out == ""
+        assert "NaN" in err
+
     @pytest.mark.parametrize(
         "kind, old, new",
         [

@@ -17,7 +17,12 @@ from rfsquash.forest import (
     forest_predict_batch,
     traverse_batch,
 )
-from rfsquash.mlr import MlrFitConfig, MlrModel, class_probability_matrix
+from rfsquash.mlr import (
+    MlrFitConfig,
+    MlrModel,
+    class_probabilities,
+    class_probability_matrix,
+)
 from rfsquash.surrogate import (
     _CELLS,
     SurrogateForest,
@@ -27,7 +32,6 @@ from rfsquash.surrogate import (
     squash_forest,
     surrogate_forest_predict,
     surrogate_forest_predict_batch,
-    surrogate_predict,
 )
 
 
@@ -44,10 +48,22 @@ def _fitted_tree(dataset, depth, k=None, min_leaf=1, seed=0):
     return fit_tree(dataset, rows, config, tree_seed=seed), rows
 
 
+def _lone(surrogate, mode, n_features):
+    """The one-tree surrogate forest of ``surrogate``, predicted in ``mode``."""
+    config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
+    return SurrogateForest(
+        surrogates=(surrogate,), config=config, prediction_mode=mode, n_features=n_features
+    )
+
+
+def _surrogate_row(surrogate, x, mode):
+    """One surrogate's forecast at the feature vector x."""
+    return surrogate_forest_predict(_lone(surrogate, mode, len(x)), x)
+
+
 def _surrogate_batch(surrogate, x, mode):
     """One surrogate's forecasts at every row of the (N, p) matrix x."""
-    stack = surrogate_module._stack_surrogates((surrogate,), x.shape[1])
-    return surrogate_module._per_tree_predictions(stack, x, mode)[0]
+    return surrogate_forest_predict_batch(_lone(surrogate, mode, x.shape[1]), x)
 
 
 class TestExtractLeafDataset:
@@ -100,7 +116,7 @@ class TestFitSurrogate:
         value = tree.leaf_values[0]
         for mode in ("argmax", "expectation"):
             for x in ds.features[:5]:
-                assert surrogate_predict(surrogate, x, mode) == value
+                assert _surrogate_row(surrogate, x, mode) == value
 
     def test_depth_one_separable_recovery(self):
         ds = gen_axis_partition(400, [(0, 0.5)], [2.0, 4.0], seed=6)
@@ -185,7 +201,7 @@ class TestSurrogatePredict:
             model=MlrModel(np.zeros(1), np.zeros((1, 1))),
             leaf_values=np.array([2.0, 4.0]),
         )
-        assert surrogate_predict(surrogate, np.array([0.7]), "expectation") == pytest.approx(3.0)
+        assert _surrogate_row(surrogate, np.array([0.7]), "expectation") == pytest.approx(3.0)
 
     def test_argmax_takes_most_probable_leaf(self):
         # intercept ln 9 puts theta = (0.9, 0.1)
@@ -193,7 +209,7 @@ class TestSurrogatePredict:
             model=MlrModel(np.array([np.log(9.0)]), np.zeros((1, 1))),
             leaf_values=np.array([2.0, 4.0]),
         )
-        assert surrogate_predict(surrogate, np.array([0.0]), "argmax") == 2.0
+        assert _surrogate_row(surrogate, np.array([0.0]), "argmax") == 2.0
 
     def test_expectation_is_convex_combination(self):
         rng = np.random.default_rng(10)
@@ -207,7 +223,7 @@ class TestSurrogatePredict:
                 leaf_values=rng.normal(scale=10, size=k),
             )
             x = rng.normal(size=p)
-            value = surrogate_predict(surrogate, x, "expectation")
+            value = _surrogate_row(surrogate, x, "expectation")
             assert surrogate.leaf_values.min() - 1e-12 <= value
             assert value <= surrogate.leaf_values.max() + 1e-12
 
@@ -219,7 +235,7 @@ class TestSurrogatePredict:
         )
         x = rng.normal(size=(20, 3))
         batch = _surrogate_batch(surrogate, x, "expectation")
-        scalar = np.array([surrogate_predict(surrogate, row, "expectation") for row in x])
+        scalar = np.array([_surrogate_row(surrogate, row, "expectation") for row in x])
         np.testing.assert_allclose(batch, scalar, atol=0)
 
     @pytest.mark.parametrize("mode", ["argmax", "expectation"])
@@ -244,20 +260,16 @@ class TestSurrogatePredict:
         np.testing.assert_array_equal(
             _surrogate_batch(surrogate, rows, "expectation"), 1.5e308
         )
-        assert surrogate_predict(surrogate, rows[0], "expectation") == 1.5e308
+        assert _surrogate_row(surrogate, rows[0], "expectation") == 1.5e308
 
     def test_mode_validation(self):
         surrogate = TreeSurrogate(model=None, leaf_values=np.array([1.0]))
-        config = ForestConfig(
-            subsample_size=1, features_per_split=1, max_depth=0, n_trees=1
-        )
         with pytest.raises(ValueError, match="prediction_mode must be one of"):
-            SurrogateForest(
-                surrogates=(surrogate,), config=config, prediction_mode="soft",
-                n_features=1,
-            )
+            _lone(surrogate, "soft", 1)
+        ds = gen_friedman1(20, 1.0, seed=5)
+        config = ForestConfig(subsample_size=20, features_per_split=10, max_depth=0, n_trees=1)
         with pytest.raises(ValueError, match="prediction_mode must be one of"):
-            surrogate_predict(surrogate, np.array([0.0]), "soft")
+            squash_forest(fit_forest(ds, config), ds, MlrFitConfig(), prediction_mode="soft")
 
 
 class TestSquashForest:
@@ -276,9 +288,10 @@ class TestSquashForest:
     def test_single_tree_equivalence(self):
         ds, forest = self._forest(m=1)
         sf = squash_forest(forest, ds, MlrFitConfig())
+        s = sf.surrogates[0]
         for x in ds.features[:10]:
-            assert surrogate_forest_predict(sf, x) == surrogate_predict(
-                sf.surrogates[0], x, sf.prediction_mode
+            assert surrogate_forest_predict(sf, x) == pytest.approx(
+                class_probabilities(s.model, x) @ s.leaf_values, rel=1e-12, abs=0
             )
 
     def test_leaf_counts_echo_source_trees(self):
@@ -420,7 +433,7 @@ class TestSurrogateForestPredict:
         sf = squash_forest(forest, ds, MlrFitConfig())
         for x in ds.features[:10]:
             independent = np.mean(
-                [surrogate_predict(s, x, sf.prediction_mode) for s in sf.surrogates]
+                [_surrogate_row(s, x, sf.prediction_mode) for s in sf.surrogates]
             )
             assert surrogate_forest_predict(sf, x) == pytest.approx(independent, abs=1e-12)
 
@@ -517,22 +530,14 @@ class TestStackedKernel:
                     surrogate_forest_predict(sf, np.zeros(width))
 
     def test_single_row_rejects_anything_but_one_row(self):
-        # a matrix used to give its first row's forecast
-        sf = _mixed_surrogate_forest("expectation")
-        p = sf.n_features
-        lone = sf.surrogates[1]
-        leaf = sf.surrogates[0]
-        assert lone.model is not None and leaf.model is None
-        for x in (np.zeros((3, p)), np.zeros((1, p)), np.float64(0.0)):
-            with pytest.raises(ValueError, match=f"forest expects {p} features in one row"):
-                surrogate_forest_predict(sf, x)
-            with pytest.raises(ValueError, match=f"surrogate expects {p} features in one"):
-                surrogate_predict(lone, x, "expectation")
-        # a single-leaf surrogate takes a row of any width, but only one row
-        assert surrogate_predict(leaf, np.zeros(p + 2), "argmax") == leaf.leaf_values[0]
-        for x in (np.zeros((3, p)), np.float64(0.0)):
-            with pytest.raises(ValueError, match="features in one row"):
-                surrogate_predict(leaf, x, "argmax")
+        # a matrix used to give its first row's forecast; a forest of
+        # single-leaf surrogates still takes only rows of its recorded width
+        p = 4
+        for leaf_counts in ((1, 4, 2, 9, 1, 3, 6), (1, 1)):
+            sf = _mixed_surrogate_forest("expectation", leaf_counts, p)
+            for x in (np.zeros((3, p)), np.zeros((1, p)), np.float64(0.0), np.zeros(p + 2)):
+                with pytest.raises(ValueError, match=f"forest expects {p} features in one row"):
+                    surrogate_forest_predict(sf, x)
 
 
 # (noise columns, split candidates, depth, trees) of pilot_d8, wide_p30, serve_d5
@@ -635,8 +640,6 @@ class TestOneRowPath:
                 surrogate_forest_predict(sf, x)
             with pytest.raises(NumericError, match="NaN"):
                 surrogate_forest_predict_batch(sf, x[None])
-            with pytest.raises(NumericError, match="NaN"):
-                surrogate_predict(lone, x, mode)
 
     @pytest.mark.parametrize("mode", ["argmax", "expectation"])
     def test_single_rows_build_only_the_stack(self, mode, monkeypatch):
@@ -652,8 +655,6 @@ class TestOneRowPath:
         monkeypatch.setattr(surrogate_module, "_per_tree_predictions", no_batch)
         x = np.random.default_rng(62).normal(scale=2, size=(5, model.n_features))
         want = [surrogate_forest_predict(model, row) for row in x]
-        for s in model.surrogates:
-            surrogate_predict(s, x[0], mode)
         assert set(vars(model)) == fields | {"_stack"}
         assert all(set(vars(s)) == {f.name for f in dataclasses.fields(s)}
                    for s in model.surrogates)
@@ -662,3 +663,130 @@ class TestOneRowPath:
         monkeypatch.undo()
         for row, value in zip(x, want):
             assert surrogate_forest_predict_batch(model, row[None])[0] == value
+
+
+def _assert_agrees_with_shifted_formula(sf, x):
+    """Both paths against the shifted softmax of the MLR (the oracle), the
+    forecasts staying within the leaf values."""
+    want = _oracle(sf, x)
+    batch = surrogate_forest_predict_batch(sf, x)
+    rows = np.array([surrogate_forest_predict(sf, row) for row in x])
+    values = sf.surrogates[0].leaf_values
+    for got in (batch, rows):
+        if sf.prediction_mode == "argmax":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all((values.min() <= got) & (got <= values.max()))
+
+
+class TestUnshiftedKernel:
+    """Expectation mode exponentiates the raw logits and argmax ranks them;
+    entries whose exponentials overflow are redone by the shifted formula."""
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_logit_past_the_exp_range(self, mode):
+        # exp(800) is +inf; exp(400) is finite
+        s = TreeSurrogate(
+            model=MlrModel(np.zeros(2), np.array([[800.0], [1.0]])),
+            leaf_values=np.array([1.0, 2.0, 3.0]),
+        )
+        x = np.array([[1.0], [0.5], [-1.0], [0.0]])
+        _assert_agrees_with_shifted_formula(_lone(s, mode, 1), x)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_finite_exponentials_whose_sum_overflows(self, mode):
+        # exp(709.5) is finite and twice it is not, while sum(e * v) stays
+        # finite for |v| < 0.5: num / inf would come out a finite 0
+        s = TreeSurrogate(
+            model=MlrModel(np.array([709.5, 709.5]), np.zeros((2, 1))),
+            leaf_values=np.array([0.4, 0.2, -0.1]),
+        )
+        sf = _lone(s, mode, 1)
+        x = np.array([[0.0], [1.0]])
+        _assert_agrees_with_shifted_formula(sf, x)
+        want = 0.4 if mode == "argmax" else 0.3
+        assert surrogate_forest_predict(sf, x[0]) == pytest.approx(want)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_infinite_logits_share_the_mass(self, mode):
+        # both non-base logits overflow to +inf at x = 1e10: they split the
+        # row evenly, and argmax takes the lower of them
+        s = TreeSurrogate(
+            model=MlrModel(np.zeros(2), np.array([[1e300], [1e300]])),
+            leaf_values=np.array([1.0, 3.0, 10.0]),
+        )
+        sf = _lone(s, mode, 1)
+        x = np.array([[1e10], [-1e10], [0.0]])
+        _assert_agrees_with_shifted_formula(sf, x)
+        assert surrogate_forest_predict(sf, x[0]) == (1.0 if mode == "argmax" else 2.0)
+
+    def test_fallback_routes_by_the_kernels_own_logits(self):
+        # BLAS may add 1e300 * 1e10 and 1e300 * -1e10 to +inf, -inf or NaN,
+        # depending on its order and the block size; whichever it gives,
+        # expectation mode must route the row as argmax does, not recompute
+        # the logit in an order of its own
+        s = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.array([[1e300, 1e300]])),
+            leaf_values=np.array([1.0, 2.0]),
+        )
+        x = np.array([[1e10, -1e10]] * 3)
+
+        def forecasts(mode, predict, rows):
+            try:
+                return predict(_lone(s, mode, 2), rows)
+            except NumericError:
+                return None
+
+        for predict, rows in ((surrogate_forest_predict, x[0]),
+                              (surrogate_forest_predict_batch, x[:1]),
+                              (surrogate_forest_predict_batch, x)):
+            argmax = forecasts("argmax", predict, rows)
+            expectation = forecasts("expectation", predict, rows)
+            if argmax is None or expectation is None:
+                assert argmax is None and expectation is None
+            else:
+                np.testing.assert_array_equal(expectation, argmax)
+
+    def test_argmax_ranks_raw_logits(self):
+        # exp(0.25 - 0.25) and exp(nextafter(0.25, 0) - 0.25) both round to
+        # 1.0, so ranking shifted exponentials tied these two and took leaf 0;
+        # ranking the logits takes the larger. Equal logits still tie low.
+        below = np.nextafter(0.25, 0.0)
+        assert np.exp(below - 0.25) == np.exp(0.0)
+        x = np.array([[0.0], [1.0]])
+        for intercepts, leaf in (([below, 0.25], 2.0), ([0.25, 0.25], 1.0)):
+            s = TreeSurrogate(
+                model=MlrModel(np.array(intercepts), np.zeros((2, 1))),
+                leaf_values=np.array([1.0, 2.0, 3.0]),
+            )
+            sf = _lone(s, "argmax", 1)
+            np.testing.assert_array_equal(surrogate_forest_predict_batch(sf, x), leaf)
+            assert surrogate_forest_predict(sf, x[0]) == leaf
+
+
+class TestOneRowAgainstLargerBlocks:
+    """The documented contract: a row alone equals its place in a larger
+    block up to last-bits rounding in expectation mode and in
+    class_probability_matrix, and bit for bit in argmax mode."""
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_surrogate_forest(self, workload_surrogate_forest, mode):
+        sf = dataclasses.replace(workload_surrogate_forest, prediction_mode=mode)
+        x = np.random.default_rng(63).uniform(-0.2, 1.2, (300, sf.n_features))
+        batch = surrogate_forest_predict_batch(sf, x)
+        rows = np.array([surrogate_forest_predict(sf, row) for row in x])
+        if mode == "argmax":
+            np.testing.assert_array_equal(rows, batch)
+        else:
+            np.testing.assert_allclose(rows, batch, rtol=1e-12, atol=0)
+
+    def test_class_probability_matrix(self, workload_surrogate_forest):
+        sf = workload_surrogate_forest
+        x = np.random.default_rng(64).uniform(-0.2, 1.2, (50, sf.n_features))
+        for s in sf.surrogates[:8]:
+            if s.model is None:
+                continue
+            matrix = class_probability_matrix(s.model, x)
+            rows = np.array([class_probabilities(s.model, row) for row in x])
+            np.testing.assert_allclose(rows, matrix, rtol=1e-12, atol=0)
