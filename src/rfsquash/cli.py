@@ -343,6 +343,8 @@ def cmd_squash(args: argparse.Namespace) -> int:
             "leaf_count_histogram": _leaf_histogram(sf),
             "surrogates_converged": sum(converged),
             "surrogates_total": len(converged),
+            "newton_steps": sum(s.newton_steps for s in sf.surrogates),
+            "cg_steps": sum(s.cg_steps for s in sf.surrogates),
             "timing": {"read_seconds": read_seconds, "squash_seconds": squash_seconds},
         },
         args.format,

@@ -79,13 +79,16 @@ class TreeSurrogate:
     """A tree replacement: leaf-routing MLR plus the original leaf values.
 
     ``model`` is None exactly when the source tree had a single leaf; no
-    multinomial model is needed to route to one category. ``converged`` is a
-    training-time diagnostic and is not serialized.
+    multinomial model is needed to route to one category. ``converged``,
+    ``newton_steps`` and ``cg_steps`` are training-time diagnostics copied
+    from the fit (0 steps when nothing was fitted) and are not serialized.
     """
 
     model: Optional[MlrModel]
     leaf_values: np.ndarray
     converged: bool = True
+    newton_steps: int = 0
+    cg_steps: int = 0
 
     def __post_init__(self) -> None:
         leaf_values = np.ascontiguousarray(self.leaf_values, dtype=np.float64)
@@ -315,7 +318,11 @@ def fit_surrogate(
     features, labels = extract_leaf_dataset(tree, dataset, rows)
     result = fit_mlr(features, labels, tree.n_leaves, config)
     return TreeSurrogate(
-        model=result.model, leaf_values=tree.leaf_values.copy(), converged=result.converged
+        model=result.model,
+        leaf_values=tree.leaf_values.copy(),
+        converged=result.converged,
+        newton_steps=result.iterations,
+        cg_steps=result.cg_steps,
     )
 
 

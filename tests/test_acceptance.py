@@ -496,3 +496,6 @@ def test_criterion_7_cli_determinism(tmp_path, monkeypatch, capsys):
         assert artifacts["a"][1] == artifacts["b"][1] == artifacts["c"][1]
         assert artifacts["a"][2] == artifacts["b"][2] == artifacts["c"][2]
         assert artifacts["a"][3] == artifacts["b"][3] == artifacts["c"][3]
+        # the fit step totals are deterministic, so they sit outside "timing"
+        squash_report = json.loads(artifacts["a"][3][1])
+        assert 0 < squash_report["newton_steps"] <= squash_report["cg_steps"]

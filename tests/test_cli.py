@@ -218,6 +218,7 @@ class TestSquash:
             "lambda": 1e-3, "max_iter": 100, "tol": 1e-4, "mode": "expectation"
         }
         assert report["surrogates_converged"] == report["surrogates_total"] == 2
+        assert 0 < report["newton_steps"] <= report["cg_steps"]
 
     def test_unconverged_fits_are_named_on_stderr(self, capsys, tmp_path):
         spec = "friedman1:n=400,noise=1.0"

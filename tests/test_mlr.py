@@ -1,6 +1,7 @@
 """Tests for the multinomial distribution and penalized MLR fitting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,71 @@ class TestFitMlr:
         assert not starved.converged
         assert starved.iterations == 1
 
+    def test_constant_column_at_zero_penalty_converges(self):
+        # At lambda = 0 a constant column has no curvature at all, so its
+        # preconditioner pivot is 0 - 0 and must be replaced, not divided by
+        rng = np.random.default_rng(31)
+        for constant in (3.0, 0.1):
+            x = np.column_stack(
+                [rng.normal(size=60), np.full(60, constant), rng.normal(size=60)]
+            )
+            labels = rng.integers(0, 3, size=60)
+            result = fit_mlr(x, labels, 3, MlrFitConfig(l2_penalty=0.0))
+            assert result.converged
+            assert np.all(np.isfinite(result.model.coefficients))
+
+    def test_fewer_rows_than_parameters_at_zero_penalty_converges(self):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            x = rng.normal(size=(5, 8))
+            labels = rng.integers(0, 3, size=5)
+            result = fit_mlr(x, labels, 3, MlrFitConfig(l2_penalty=0.0))
+            assert result.converged
+
+    def test_newton_step_within_rounding_of_the_optimum_is_taken(self):
+        # Near the optimum the exact Newton step changed f by less than its
+        # rounding error and was rejected; halving then ended at steps that
+        # left f as it was, and this fit ran all 100 Newton steps at a
+        # gradient of 2.2e-9 without reaching 1e-10.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(100, 2)) + rng.normal(size=2) * 3
+        labels = rng.integers(0, 3, size=100)
+        result = fit_mlr(
+            x, labels, 3, MlrFitConfig(l2_penalty=1e-3, gradient_tolerance=1e-10)
+        )
+        assert result.converged and result.iterations <= 20
+
+    def test_exact_preconditioner_takes_one_cg_step_per_newton_step(self):
+        # With one leaf and one feature the preconditioner is the whole
+        # negative Hessian, so CG solves each Newton system in one step.
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(60, 1)) * 2.0 + 1.0
+        labels = rng.integers(0, 2, size=60)
+        result = fit_mlr(
+            x, labels, 2, MlrFitConfig(l2_penalty=1e-3, gradient_tolerance=1e-10)
+        )
+        assert result.converged and result.iterations >= 2
+        assert result.cg_steps == result.iterations
+
+    def test_memory_stays_linear_in_rows_and_parameters(self):
+        # The per-row arrays are (A, n) and (p+1, n) wide; a fit must not
+        # build anything as large as rows x parameters, such as the (n, p^2)
+        # outer products of an exact block-Jacobi preconditioner.
+        n, p, k = 400, 200, 6
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(n, p))
+        labels = rng.integers(0, k, size=n)
+        bound = 6 * 8 * n * ((k - 1) + (p + 1))
+        assert bound < 8 * n * p * p
+        tracemalloc.start()
+        try:
+            result = fit_mlr(x, labels, k, MlrFitConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < bound
+
     def test_errors(self):
         x = np.zeros((3, 1))
         with pytest.raises(ValueError, match="n_categories"):
@@ -434,22 +500,69 @@ class TestObjectiveOracle:
             probs, class_probability_matrix(model, x)[:, active].T, rtol=1e-12, atol=1e-15
         )
 
+    @staticmethod
+    def _negative_hessian(objective, w, h=1e-5):
+        """Central finite differences of the gradient."""
+        dense = np.empty((w.size, w.size))
+        for i, step in enumerate(np.eye(w.size) * h):
+            up = objective.value_grad_probs(w + step.reshape(w.shape))[1]
+            down = objective.value_grad_probs(w - step.reshape(w.shape))[1]
+            dense[:, i] = -(up - down).ravel() / (2 * h)
+        return dense
+
+    @staticmethod
+    def _columns(operator, shape):
+        """The matrix of a linear map of (A, p+1) arrays, over the flat order."""
+        size = shape[0] * shape[1]
+        return np.column_stack(
+            [operator(e.reshape(shape)).ravel() for e in np.eye(size)]
+        )
+
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_curvature_matches_finite_difference_hessian(self, lam):
         _, _, _, objective, w = self._instance(lam)
         _, _, probs = objective.value_grad_probs(w)
-        size, h = w.size, 1e-5
-        dense = np.empty((size, size))
-        products = np.empty((size, size))
-        for i in range(size):
-            step = np.zeros(size)
-            step[i] = h
-            up = objective.value_grad_probs(w + step.reshape(w.shape))[1]
-            down = objective.value_grad_probs(w - step.reshape(w.shape))[1]
-            dense[:, i] = -(up - down).ravel() / (2 * h)  # negative Hessian
-            products[:, i] = objective.curvature(probs, step.reshape(w.shape) / h).ravel()
+        dense = self._negative_hessian(objective, w)
+        products = self._columns(lambda v: objective.curvature(probs, v), w.shape)
         assert np.max(np.abs(products - dense)) <= 1e-6 * np.max(np.abs(dense))
         np.testing.assert_allclose(products, products.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_preconditioner_matches_hessian_blocks(self, lam):
+        # The preconditioner inverts, per leaf, an SPD matrix equal to the
+        # leaf's diagonal Hessian block on its first row and column and on
+        # its diagonal; leaves are not coupled.
+        _, _, active, objective, w = self._instance(lam)
+        _, _, probs = objective.value_grad_probs(w)
+        dense = self._negative_hessian(objective, w)
+        inverse = self._columns(objective.preconditioner(probs), w.shape)
+        atol = 1e-6 * np.max(np.abs(dense))
+        width = self.P + 1
+        for a, b in itertools.product(range(active.size), repeat=2):
+            rows, cols = slice(a * width, (a + 1) * width), slice(b * width, (b + 1) * width)
+            if a != b:
+                assert not inverse[rows, cols].any()
+                continue
+            approx, exact = np.linalg.inv(inverse[rows, cols]), dense[rows, cols]
+            np.testing.assert_allclose(approx, approx.T, rtol=1e-12, atol=1e-9)
+            assert np.linalg.eigvalsh(approx).min() > 0.0
+            np.testing.assert_allclose(approx[0], exact[0], rtol=0, atol=atol)
+            np.testing.assert_allclose(approx[:, 0], exact[:, 0], rtol=0, atol=atol)
+            np.testing.assert_allclose(np.diag(approx), np.diag(exact), rtol=0, atol=atol)
+
+    def test_preconditioner_pivots_degenerate_blocks(self):
+        # At lambda = 0 a constant column has no curvature, and a leaf whose
+        # probabilities are all 0 has none at all; both get positive pivots.
+        rng = np.random.default_rng(16)
+        x = np.column_stack([rng.normal(size=30), np.full(30, 2.0)])
+        labels = rng.choice([0, 2, 3], size=30)
+        objective = _Objective(x, labels, self.K, np.array([0, 2]), 0.0)
+        probs = np.vstack([np.zeros(30), np.full(30, 0.25)])
+        solve = objective.preconditioner(probs)
+        inverse = self._columns(solve, (2, self.P + 1))
+        assert np.all(np.isfinite(inverse))
+        assert np.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
+        np.testing.assert_allclose(inverse, inverse.T, rtol=1e-12, atol=1e-15)
 
 
 class TestPredictClass:

@@ -22,6 +22,7 @@ from rfsquash.mlr import (
     MlrModel,
     class_probabilities,
     class_probability_matrix,
+    fit_mlr,
 )
 from rfsquash.surrogate import (
     _CELLS,
@@ -155,6 +156,20 @@ class TestFitSurrogate:
         tree, rows = _fitted_tree(ds, depth=3)
         surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
         np.testing.assert_array_equal(surrogate.leaf_values, tree.leaf_values)
+
+    def test_fit_step_counts_are_kept(self):
+        ds = gen_friedman1(120, 1.0, seed=8)
+        tree, rows = _fitted_tree(ds, depth=3)
+        surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
+        result = fit_mlr(*extract_leaf_dataset(tree, ds, rows), tree.n_leaves, MlrFitConfig())
+        assert surrogate.converged == result.converged
+        assert (surrogate.newton_steps, surrogate.cg_steps) == (
+            result.iterations, result.cg_steps
+        )
+        assert 0 < surrogate.newton_steps <= surrogate.cg_steps
+        stump, stump_rows = _fitted_tree(ds, depth=0)
+        single = fit_surrogate(stump, ds, stump_rows, MlrFitConfig())
+        assert (single.newton_steps, single.cg_steps) == (0, 0)
 
     def test_median_summary_rides_through_squash(self):
         ds = gen_friedman1(200, 1.0, seed=21)
@@ -340,6 +355,15 @@ class TestSquashForest:
         for sa, sb in zip(direct.surrogates, derived.surrogates):
             np.testing.assert_array_equal(sa.model.intercepts, sb.model.intercepts)
             np.testing.assert_array_equal(sa.model.coefficients, sb.model.coefficients)
+
+    def test_fit_diagnostics_are_not_serialized(self):
+        ds, forest = self._forest(m=2)
+        sf = squash_forest(forest, ds, MlrFitConfig(max_iterations=1))
+        assert all(not s.converged and s.newton_steps == 1 for s in sf.surrogates)
+        blob = encode(sf)
+        for s in decode(blob).surrogates:
+            assert (s.converged, s.newton_steps, s.cg_steps) == (True, 0, 0)
+        assert encode(decode(blob)) == blob
 
     def test_prediction_mode_recorded(self):
         ds, forest = self._forest(m=2)
