@@ -371,7 +371,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.format == "json" and not args.out:
         print(json.dumps({"predictions": predictions.tolist()}, indent=2))
         return EXIT_OK
-    lines = "".join(map("{:.17g}\n".format, predictions.tolist()))
+    # one %-format over every value: the bytes of "{:.17g}".format per value,
+    # in about two thirds of the time
+    values = predictions.tolist()
+    lines = ("%.17g\n" * len(values)) % tuple(values)
     if args.out:
         _write_out(args.out, ("prediction\n" + lines).encode("utf-8"))
     else:

@@ -94,6 +94,7 @@ def _column_loop_tree(dataset, rows, config, tree_seed):
     x, y = dataset.features[rows], dataset.responses[rows]
     p = dataset.n_features
     nodes, leaves = [], []  # [feature, threshold, left ref, right ref]; (value, count)
+    summary = np.median if config.leaf_summary == "median" else np.mean
 
     def column_split(col, ys_node):
         order = np.argsort(col, kind="stable")
@@ -115,7 +116,7 @@ def _column_loop_tree(dataset, rows, config, tree_seed):
 
     def grow(idx, depth, path):
         if depth >= config.max_depth or idx.shape[0] < 2 * config.min_leaf:
-            leaves.append((float(np.mean(y[idx])), idx.shape[0]))
+            leaves.append((float(summary(y[idx])), idx.shape[0]))
             return ("leaf", len(leaves) - 1)
         parent_sse = float(np.sum((y[idx] - y[idx].mean()) ** 2))
         rng = _util.rng_for(tree_seed, path, _util.FEATURE_STREAM)
@@ -125,7 +126,7 @@ def _column_loop_tree(dataset, rows, config, tree_seed):
             if sse < best_sse:
                 best_sse, feature, threshold = sse, int(f), mid
         if not best_sse < parent_sse:
-            leaves.append((float(np.mean(y[idx])), idx.shape[0]))
+            leaves.append((float(summary(y[idx])), idx.shape[0]))
             return ("leaf", len(leaves) - 1)
         node_id = len(nodes)
         node = [feature, threshold, None, None]
@@ -378,11 +379,14 @@ _TREE_ARRAYS = (
     k=st.integers(1, 5),
     depth=st.integers(0, 6),
     seed=st.integers(0, 2**16),
+    median=st.booleans(),
 )
-def test_fit_tree_matches_the_column_loop(n, p, levels, dup, const, min_leaf, k, depth, seed):
+def test_fit_tree_matches_the_column_loop(
+    n, p, levels, dup, const, min_leaf, k, depth, seed, median
+):
     """The matrix scorer grows bit-identical trees to one-column-at-a-time
     scoring on tie-heavy data: integer-valued features and responses, a
-    duplicated and a constant column, k <= p."""
+    duplicated and a constant column, k <= p, mean or median leaves."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, levels, size=(n, p)).astype(np.float64)
     if dup and p > 1:
@@ -396,13 +400,55 @@ def test_fit_tree_matches_the_column_loop(n, p, levels, dup, const, min_leaf, k,
         max_depth=depth,
         n_trees=1,
         min_leaf=min(min_leaf, n),
+        leaf_summary="median" if median else "mean",
     )
     rows = rng.permutation(n)
     fitted = fit_tree(ds, rows, config, tree_seed=seed)
     oracle = _column_loop_tree(ds, rows, config, tree_seed=seed)
+    _assert_same_tree(fitted, oracle)
+
+
+def _assert_same_tree(a: DecisionTree, b: DecisionTree) -> None:
     for name in _TREE_ARRAYS:
-        a, b = getattr(fitted, name), getattr(oracle, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_every_feature_as_candidate_draws_nothing(monkeypatch):
+    """With k = p each node takes every feature without building a feature
+    generator, and grows the tree that drawing all p features grows."""
+    ds = gen_friedman1(300, 1.0, seed=3)
+    config = ForestConfig(subsample_size=200, features_per_split=10, max_depth=6, n_trees=1)
+    rows = subsample(ds, 200, seed=3, tree_id=0)
+    drawn = _column_loop_tree(ds, rows, config, tree_seed=41)
+
+    def no_draw(*key):
+        raise AssertionError(f"rng_for{key} called with k = p")
+
+    monkeypatch.setattr(_util, "rng_for", no_draw)
+    fitted = fit_tree(ds, rows, config, tree_seed=41)
+    assert fitted.n_internal > 20
+    _assert_same_tree(fitted, drawn)
+
+
+def test_fewer_features_than_p_draw_once_per_split_node(monkeypatch):
+    """With k < p every node that searches for a split draws its candidates
+    once, from a generator keyed on its own path."""
+    # continuous features and responses: every node that searches splits
+    ds = gen_friedman1(300, 1.0, seed=3)
+    config = ForestConfig(subsample_size=200, features_per_split=3, max_depth=6, n_trees=1)
+    rows = subsample(ds, 200, seed=3, tree_id=0)
+    keys, rng_for = [], _util.rng_for
+
+    def recording_rng_for(*key):
+        keys.append(key)
+        return rng_for(*key)
+
+    monkeypatch.setattr(_util, "rng_for", recording_rng_for)
+    fitted = fit_tree(ds, rows, config, tree_seed=41)
+    assert fitted.n_internal > 20
+    assert len(keys) == fitted.n_internal == len(set(keys))
+    assert {(seed, stream) for seed, _, stream in keys} == {(41, _util.FEATURE_STREAM)}
 
 
 @pytest.mark.parametrize(
