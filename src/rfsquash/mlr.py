@@ -77,7 +77,7 @@ class MlrModel:
             )
         if intercepts.shape[0] < 1:
             raise ValueError("model needs K >= 2, so at least one parameter row")
-        if not (np.all(np.isfinite(intercepts)) and np.all(np.isfinite(coefficients))):
+        if not (np.isfinite(intercepts).all() and np.isfinite(coefficients).all()):
             raise ValueError("model parameters must be finite")
         intercepts.setflags(write=False)
         coefficients.setflags(write=False)
@@ -565,7 +565,7 @@ def fit_mlr(
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.size == 0:
         raise ValueError("empty feature matrix")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("features contain non-finite values")
     if n_categories < 2:
         raise ValueError(f"need n_categories >= 2, got {n_categories}")
@@ -583,7 +583,7 @@ def fit_mlr(
     w, converged, iterations, cg_steps, grad_norm = _fit(objective, config)
 
     alpha, beta = objective.to_original(w)
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise NumericError("optimizer produced non-finite coefficients")
     model = MlrModel(alpha, beta)
     return MlrFitResult(model, converged, iterations, grad_norm, "newton", cg_steps)

@@ -17,34 +17,37 @@ only a forest predicts.
   in x; the default).
 
 Prediction runs every surrogate of a forest at once. On first use a
-:class:`SurrogateForest` compiles its M surrogates into one leaf-major stack
-padded to the largest leaf count K_max: row k*M + m of a (K_max*M, p+1)
-weight matrix holds the coefficients and intercept of leaf k of surrogate m.
-The base leaf has zero weights and a zero intercept; padding leaves have a
--inf intercept and a zero leaf value, so they get probability 0 and add
-nothing. Rows are predicted in blocks of ``_CELLS // (K_max*M)`` (at least
-one): one GEMM against the rows with a column of ones appended gives a
-(K_max, M, block) logit array. No temporary holds more than ``_CELLS``
+:class:`SurrogateForest` compiles its M surrogates into one tree-major stack
+padded to the largest leaf count K_max: column m*K_max + k of a C-contiguous
+(p+1, M*K_max) weight matrix holds the coefficients and, in its last row,
+the intercept of leaf k of surrogate m. The base leaf has zero weights and a
+zero intercept; padding leaves have a -inf intercept and a zero leaf value,
+so they get probability 0 and add nothing. Rows are predicted in blocks of
+``_CELLS // (K_max*M)`` (at least one): one GEMM of the rows, with a column
+of ones appended, against the weights gives a (block, M, K_max) logit array
+whose leaf axis is contiguous. No temporary holds more than ``_CELLS``
 logits (or one row's K_max*M, when that is larger), whatever the row count.
 
-Argmax mode ranks the raw logits, so the larger of two distinct logits wins
-even where their probabilities round equal. Expectation mode exponentiates
-the raw logits without the softmax shift: the base leaf's logit is 0 at
-every finite row, so each surrogate's sum of exponentials is at least 1.
-One batched product of an (M, 2, K_max) table of [leaf values; ones] with
-the exponentials gives sum(e * v) and sum(e) together. Where either is not
-finite (a logit past about 709.78, exponentials or e * v whose sum
-overflows, a +inf or NaN logit), the same logits go through the shifted
-formula, which shares a +inf logit's mass evenly and raises NumericError
-on a NaN logit, as argmax does.
+Argmax mode ranks the raw logits over the leaf axis, lowest leaf on ties,
+so the larger of two distinct logits wins even where their probabilities
+round equal. Expectation mode exponentiates the raw logits without the
+softmax shift: the base leaf's logit is 0 at every finite row, so each
+surrogate's sum of exponentials is at least 1. One batched product of the
+exponentials with an (M, 2, K_max) table of [leaf values; ones] gives
+sum(e * v) and sum(e) together. Where either is not finite (a logit past
+about 709.78, exponentials or e * v whose sum overflows, a +inf or NaN
+logit), the same logits go through the shifted formula, which shares a +inf
+logit's mass evenly and raises NumericError on a NaN logit, as argmax does.
 
 A single row skips the batch set-up (the input copy, the buffers, the block
-loop): one product of the weights with [x, 1] gives its logits, and the same
-per-block step turns them into its M forecasts, bit for bit those the batch
-path gives the row alone. In a larger block BLAS may sum a row's products in
-another order, so expectation forecasts can differ there in the last bits;
-argmax ones agree while the logits are finite. The mean over trees adds
-them in order for every block size, one row included.
+loop) and takes a lean kernel of its own: one GEMV of the row with the
+weights gives its (M, K_max) logits, and each tree's two sums run over its
+own K_max leaves. A batch hands every one-row block to the same kernel, so a
+row alone and the last row of a batch one longer than a whole number of
+blocks get the same forecasts, bit for bit. In a larger block BLAS may sum a
+row's products in another order, so expectation forecasts can differ there
+in the last bits; argmax ones agree while the logits are finite. The mean
+over trees adds them in order for every block size, one row included.
 """
 
 from __future__ import annotations
@@ -65,13 +68,10 @@ PREDICTION_MODES = ("argmax", "expectation")
 
 # Logits per row block: a block's temporaries stay a few hundred KiB, inside
 # the L2 cache. On a 2-vCPU x86-64 VM with single-threaded OpenBLAS, 20k-row
-# expectation batches took (best of 15) 78.9, 76.2 and 72.4 ms at 2**15, 2**16
-# and 2**17 on the serve_d5 model (40 rows per block at 2**16), 60.0, 47.5 and
-# 47.4 ms on pilot_d8 (62 rows) and 53.0, 43.3 and 48.0 ms on wide_p30 (95).
+# expectation batches took (best of 15) 68.2, 64.4 and 75.0 ms at 2**15, 2**16
+# and 2**17 on the serve_d5 model (40 rows per block at 2**16), 37.3, 36.4 and
+# 42.1 ms on pilot_d8 (62 rows) and 36.5, 32.9 and 34.4 ms on wide_p30 (95).
 _CELLS = 2**16
-
-_ONE = np.ones(1)  # appended to a row, for the intercepts
-_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class SurrogateForest:
 
     @cached_property
     def _stack(self) -> _Stack:
-        """The leaf-major prediction stack, built on first predict; it is not
+        """The tree-major prediction stack, built on first predict; it is not
         a field, so it is neither compared nor serialized."""
         return _stack_surrogates(self.surrogates, self.n_features)
 
@@ -156,13 +156,14 @@ def _check_mode(mode: str) -> None:
 
 
 class _Stack(NamedTuple):
-    """M surrogates padded to K_max leaves, leaf-major (see module docs)."""
+    """M surrogates padded to K_max leaves, tree-major (see module docs)."""
 
-    # (K_max*M, p+1): row k*M + m is leaf k of surrogate m, coefficients then
-    # intercept; the intercept is 0 at base leaves and -inf on padding
+    # (p+1, M*K_max), C-contiguous: column m*K_max + k is leaf k of surrogate
+    # m, its coefficients down the first p rows and its intercept in the
+    # last; the intercept is 0 at base leaves and -inf on padding
     weights: np.ndarray
     # (M, 2, K_max): values[m, 0] holds the leaf values of surrogate m (0 on
-    # padding) and values[m, 1] ones, so that one product with the
+    # padding) and values[m, 1] ones, so that one product per tree with the
     # exponentials gives both sum(e * v) and sum(e)
     values: np.ndarray
 
@@ -172,24 +173,27 @@ def _stack_surrogates(
 ) -> _Stack:
     m = len(surrogates)
     k_max = max(s.n_leaves for s in surrogates)
-    weights = np.zeros((k_max, m, n_features + 1))
-    weights[:, :, -1] = -np.inf
+    weights = np.zeros((n_features + 1, m, k_max))
+    weights[-1] = -np.inf
     values = np.zeros((m, 2, k_max))
     values[:, 1] = 1.0
     for j, s in enumerate(surrogates):
         k = s.n_leaves
-        weights[k - 1, j, -1] = 0.0
+        weights[-1, j, k - 1] = 0.0
         values[j, 0, :k] = s.leaf_values
         if s.model is not None:
-            weights[: k - 1, j, :-1] = s.model.coefficients
-            weights[: k - 1, j, -1] = s.model.intercepts
-    return _Stack(weights.reshape(k_max * m, n_features + 1), values)
+            weights[:-1, j, : k - 1] = s.model.coefficients.T
+            weights[-1, j, : k - 1] = s.model.intercepts
+    return _Stack(weights.reshape(n_features + 1, m * k_max), values)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
     """(M, N) forecasts of every stacked surrogate at every row of x, one
-    row block at a time. x must be a (N, p) matrix of the stack's width p."""
+    row block at a time. x must be a (N, p) matrix of the stack's width p.
+    A block of one row goes through the one-row kernel, so that a row alone
+    and the last row of a batch one longer than a whole number of blocks get
+    the same forecasts."""
     n, p = x.shape
     m, _, k_max = stack.values.shape
     block = max(1, min(_CELLS // (k_max * m), n))
@@ -202,78 +206,90 @@ def _per_tree_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray
     # one logit and one exponential buffer per call: allocating them per
     # block costs more than the GEMM once the allocator hands out blocks this
     # size as fresh pages
-    buffer = np.empty(k_max * m * block)
-    exps = np.empty(k_max * m * block)
+    buffer = np.empty(block * m * k_max)
+    exps = np.empty(block * m * k_max) if mode == "expectation" else None
     out = np.empty((m, n))
     for start in range(0, n, block):
         rows = slice(start, start + block)
         x_block = x1[rows]
         b = x_block.shape[0]
-        logits = buffer[: k_max * m * b].reshape(k_max * m, b)
-        np.matmul(stack.weights, x_block.T, out=logits)
-        e = exps[: k_max * m * b].reshape(k_max, m, b)
-        out[:, rows] = _forecasts(stack, logits.reshape(k_max, m, b), mode, e)
+        if b == 1:
+            out[:, start] = _row_predictions(stack, x_block[0, :p], mode)
+            continue
+        logits = buffer[: b * m * k_max].reshape(b, m * k_max)
+        np.matmul(x_block, stack.weights, out=logits)
+        out[:, rows] = _block_forecasts(stack, logits.reshape(b, m, k_max), mode, exps)
+    return out
+
+
+def _block_forecasts(
+    stack: _Stack, logits: np.ndarray, mode: str, exps: Optional[np.ndarray]
+) -> np.ndarray:
+    """(M, b) forecasts of the stacked surrogates from their (b, M, K_max)
+    logits; ``exps`` is a buffer that holds at least as many exponentials.
+    The caller ignores overflow and invalid warnings: overflow in its GEMM or
+    in exp gives infinite or NaN entries, which are resolved below."""
+    b, m, k_max = logits.shape
+    if mode == "argmax":
+        # the top logit is the top probability, lowest leaf on ties; argmax
+        # takes a tree's first NaN, so checking the chosen logits finds all
+        leaf = logits.argmax(axis=2)
+        cells = leaf + k_max * np.arange(b * m).reshape(b, m)
+        if np.isnan(logits.ravel()[cells]).any():
+            raise NumericError(NAN_LOGIT)
+        return stack.values.ravel()[leaf + 2 * k_max * np.arange(m)].T
+    # the base leaf's logit is 0 at every finite row, so sum(e) >= 1 unless a
+    # logit is NaN or the exponentials overflow: no shift is needed
+    e = np.exp(logits, out=exps[: b * m * k_max].reshape(b, m, k_max))
+    sums = np.matmul(e.transpose(1, 0, 2), stack.values.transpose(0, 2, 1))  # (M, b, 2)
+    out = sums[..., 0] / sums[..., 1]
+    # a finite sum(e * v) over a finite sum(e) >= 1 is a finite quotient, so
+    # the sums alone are checked: finite exponentials can sum past the float
+    # range (the quotient would be a finite, wrong 0), and so can e * v
+    if not np.isfinite(sums).all():
+        trees, rows = np.nonzero(~np.isfinite(sums).all(axis=2))
+        out[trees, rows] = _reweigh(stack, logits[rows, trees], trees)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _row_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
     """(M,) forecasts of every stacked surrogate at one row x, a float64
-    vector of the stack's width: one product of the weights with [x, 1]
-    gives the (K_max, M, 1) logits, without the batch set-up. BLAS runs the
-    batch path's one-column GEMM as this same product, so the forecasts are
-    bit for bit the batch path's for x alone."""
+    vector of the stack's width p. One GEMV of x with the weights' first p
+    rows, plus their last, gives the (M, K_max) logits without the batch
+    set-up; each tree's sums run over its own K_max leaves."""
     m, _, k_max = stack.values.shape
-    x1 = np.concatenate((x, _ONE))
-    logits = (stack.weights @ x1).reshape(k_max, m, 1)
-    return _forecasts(stack, logits, mode)[:, 0]
-
-
-def _forecasts(
-    stack: _Stack, logits: np.ndarray, mode: str, e: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """(M, b) forecasts of the stacked surrogates from their (K_max, M, b)
-    logits; ``e``, if given, is a buffer of that shape for the exponentials.
-    The callers ignore overflow and invalid warnings: overflow in their GEMM
-    or in exp gives infinite or NaN entries, which are resolved below."""
-    k_max, m, b = logits.shape
+    # contiguous, since numpy leaves a strided vector to its own loop, which
+    # sums in another order than BLAS
+    logits = np.ascontiguousarray(x) @ stack.weights[:-1]
+    logits += stack.weights[-1]
+    logits = logits.reshape(m, k_max)
     if mode == "argmax":
-        # the top logit is the top probability, lowest index on ties; argmax
-        # takes a column's first NaN, so checking the chosen logits finds all
-        top = logits.argmax(axis=0)
-        if np.isnan(logits.ravel()[top * (m * b) + np.arange(m * b).reshape(m, b)]).any():
+        leaf = logits.argmax(axis=1)
+        trees = np.arange(m)
+        if np.isnan(logits[trees, leaf]).any():
             raise NumericError(NAN_LOGIT)
-        return stack.values.ravel()[top + 2 * k_max * np.arange(m)[:, None]]
-    # the base leaf's logit is 0 at every finite row, so sum(e) >= 1 unless a
-    # logit is NaN or the exponentials overflow: no shift is needed
-    e = np.exp(logits, out=e)
-    sums = np.matmul(stack.values, e.transpose(1, 0, 2))  # (M, 2, b)
-    total = sums[:, 1]
-    out = sums[:, 0] / total
-    # an infinite or NaN e makes the total so; finite exponentials can sum
-    # past the float range (out = num / inf = 0), and so can e * v alone
-    bad = ~np.isfinite(total)
-    bad |= ~np.isfinite(out)
-    if bad.any():
-        _reweigh_overflowed(stack, logits, out, bad)
+        return stack.values[trees, 0, leaf]
+    sums = np.vecdot(np.exp(logits)[:, None], stack.values)  # (M, 2)
+    out = sums[:, 0] / sums[:, 1]
+    if not np.isfinite(sums).all():
+        trees = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+        out[trees] = _reweigh(stack, logits[trees], trees)
     return out
 
 
-def _reweigh_overflowed(
-    stack: _Stack, logits: np.ndarray, out: np.ndarray, bad: np.ndarray
-) -> None:
-    """Recompute in place the expectation-mode entries of ``out`` where
-    ``bad`` is set, from the same (K_max, M, b) logits, as sum((e / sum(e))
-    * v) with e the shifted exponentials (see mlr._shifted_exp: a NaN logit
-    raises NumericError, +inf logits share the mass). The weights sum to one,
-    so the partial sums stay within max |v| up to the last roundings, which
-    are clipped."""
-    trees, rows = np.nonzero(bad)
-    e = _shifted_exp(logits[:, trees, rows], axis=0)
-    e /= e.sum(axis=0)
-    values = stack.values[trees, 0].T
-    top = np.abs(values).max(axis=0)
-    out[trees, rows] = np.clip((e * values).sum(axis=0), -top, top)
+def _reweigh(stack: _Stack, logits: np.ndarray, trees: np.ndarray) -> np.ndarray:
+    """Expectation forecasts of surrogates ``trees`` from their (n, K_max)
+    logits, one row each, as sum((e / sum(e)) * v) with e the shifted
+    exponentials (see mlr._shifted_exp: a NaN logit raises NumericError,
+    +inf logits share the mass). The weights sum to one, so the partial sums
+    stay within max |v| up to the last roundings, which are clipped.
+    ``logits`` is overwritten."""
+    e = _shifted_exp(logits, axis=1)
+    e /= e.sum(axis=1, keepdims=True)
+    values = stack.values[trees, 0]
+    top = np.abs(values).max(axis=1)
+    return np.clip((e * values).sum(axis=1), -top, top)
 
 
 def extract_leaf_dataset(

@@ -499,7 +499,7 @@ def _oracle(sf, x):
 
 
 class TestStackedKernel:
-    """The leaf-major stack predicts every surrogate at once, in row blocks."""
+    """The tree-major stack predicts every surrogate at once, in row blocks."""
 
     K_MAX, M = 9, 7
     BLOCK = _CELLS // (K_MAX * M)
@@ -531,6 +531,41 @@ class TestStackedKernel:
                 assert single == batch[i]
             else:
                 assert single == pytest.approx(batch[i], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 1])
+    def test_lone_last_block_equals_its_row_alone(self, mode, n):
+        # the row after the last whole block takes the one-row kernel, so it
+        # gets bit for bit the forecast it gets alone
+        sf = _mixed_surrogate_forest(mode)
+        x = np.random.default_rng(n).normal(scale=2, size=(n, sf.n_features))
+        assert surrogate_forest_predict_batch(sf, x)[-1] == surrogate_forest_predict(sf, x[-1])
+
+    def test_tied_top_logits_go_to_the_lowest_leaf(self):
+        # exact ties among finite top logits, the base leaf's 0 among them,
+        # beside a single-leaf surrogate and padding to K_max = 4
+        def surrogate(intercepts, coefficients, k):
+            model = MlrModel(np.array(intercepts), np.array(coefficients))
+            return TreeSurrogate(model=model, leaf_values=np.arange(1.0, k + 1))
+
+        surrogates = (
+            surrogate([0.5, 0.5], [[0.0], [0.0]], 3),  # leaves 0 and 1 tie
+            surrogate([-1.0, 0.0, 0.0], [[0.0]] * 3, 4),  # leaves 1, 2 and the base
+            surrogate([-1.0], [[1.0]], 2),  # leaf 0 ties the base at x = 1 only
+            TreeSurrogate(model=None, leaf_values=np.array([7.0])),
+        )
+        config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=2, n_trees=4)
+        sf = SurrogateForest(
+            surrogates=surrogates, config=config, prediction_mode="argmax", n_features=1
+        )
+        x = np.array([[1.0], [0.5], [1.0]])
+        want = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0, 1.0], [7.0, 7.0, 7.0]])
+        stack = sf._stack
+        batch = surrogate_module._per_tree_predictions(stack, x, "argmax")
+        np.testing.assert_array_equal(batch, want)
+        for row, column in zip(x, want.T):
+            single = surrogate_module._row_predictions(stack, row, "argmax")
+            np.testing.assert_array_equal(single, column)
 
     def test_input_layout_does_not_change_predictions(self):
         # the CLI hands over column-major features, the library row-major
@@ -583,6 +618,22 @@ def workload_surrogate_forest(request):
         min_leaf=8, seed=m,
     )
     return squash_forest(fit_forest(ds, config), ds, MlrFitConfig(max_iterations=2))
+
+
+@pytest.mark.parametrize("workload_surrogate_forest", WORKLOAD_SHAPES[2:], indirect=True)
+@pytest.mark.parametrize("mode", ["argmax", "expectation"])
+def test_serve_shaped_single_rows_match_the_oracle(workload_surrogate_forest, mode):
+    # the shape whose single rows the benchmark times: M = 50 surrogates of
+    # 28 to 32 leaves, so every row runs the padded one-row kernel
+    sf = dataclasses.replace(workload_surrogate_forest, prediction_mode=mode)
+    leaves = [s.n_leaves for s in sf.surrogates]
+    assert sf.n_trees == 50 and 28 <= min(leaves) < max(leaves) == 32
+    x = np.random.default_rng(65).uniform(-0.2, 1.2, (200, sf.n_features))
+    rows = np.array([surrogate_forest_predict(sf, row) for row in x])
+    if mode == "argmax":
+        np.testing.assert_array_equal(rows, _oracle(sf, x))
+    else:
+        np.testing.assert_allclose(rows, _oracle(sf, x), rtol=1e-12, atol=0)
 
 
 def _assert_row_equals_batch_of_one(sf, x):
