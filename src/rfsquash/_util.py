@@ -1,18 +1,11 @@
-"""Seed derivation, thread-pool, input-shape and ensemble-mean helpers used
-across modules."""
+"""Seed derivation, input-shape and ensemble-mean helpers used across
+modules."""
 
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from typing import TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 # Stream tags keep the per-purpose RNG streams disjoint even when the same
 # (seed, index) pair feeds several of them.
@@ -31,24 +24,6 @@ def derive_seed(*keys: int) -> int:
     """Collapse a key tuple into a single 64-bit seed."""
     a, b = np.random.SeedSequence(list(keys)).generate_state(2)
     return (int(a) << 32) | int(b)
-
-
-def thread_count() -> int:
-    """The worker count: RFSQ_THREADS, else 1."""
-    raw = os.environ.get("RFSQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map fn over items on thread_count() workers, preserving input order."""
-    jobs = thread_count()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def one_row(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:

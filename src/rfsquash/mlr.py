@@ -184,16 +184,15 @@ def _logit_matrix(model: MlrModel, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _shifted_exp(logits: np.ndarray, axis: int) -> np.ndarray:
-    """The softmax numerators exp(logits - max over ``axis``), computed in
-    place in ``logits`` and returned.
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (N, K) logit matrix, in place.
 
-    Where the top logit is +inf, the +inf entries get 1 and the rest 0, so
-    normalizing shares the probability evenly among them, which is the limit
-    of the softmax as they grow. A NaN logit raises NumericError. Every
-    caller has a base logit of zero, so the top logit is never -inf.
+    Where a row's top logit is +inf, its +inf entries share the probability
+    evenly and the rest get 0, which is the limit of the softmax as they
+    grow. A NaN logit raises NumericError. Every caller has a base logit of
+    zero, so the top logit is never -inf.
     """
-    top = logits.max(axis=axis, keepdims=True)
+    top = logits.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():
         if np.isnan(top).any():
             raise NumericError(NAN_LOGIT)
@@ -202,14 +201,8 @@ def _shifted_exp(logits: np.ndarray, axis: int) -> np.ndarray:
         top[hot] = 0.0
     logits -= top
     np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
     return logits
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (N, K) logit matrix, in place."""
-    e = _shifted_exp(logits, axis=1)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
 
 
 def class_probabilities(model: MlrModel, x: np.ndarray) -> np.ndarray:

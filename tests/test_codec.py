@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfsquash import cli
 from rfsquash.cli import _model_predict_batch
 from rfsquash.codec import (
     ENVELOPE_BYTES,
@@ -22,7 +23,7 @@ from rfsquash.codec import (
     measure_size,
     surrogate_tree_bytes,
 )
-from rfsquash.data import gen_axis_partition, gen_friedman1
+from rfsquash.data import gen_axis_partition, gen_friedman1, write_csv
 from rfsquash.errors import (
     ChecksumMismatchError,
     CodecError,
@@ -351,6 +352,51 @@ class TestDecodeErrors:
             encode(object(), "f64")
         with pytest.raises(ValueError, match="float_width"):
             encode(_manual_surrogate(2, 1), "f16")
+
+
+def _crafted_blob(case):
+    """A file the decoder must reject, with the payload CRC-32 valid wherever
+    the file has a payload, so that only the structural checks can object."""
+    _, forest = _random_forest(22)
+    blob = encode(forest, "f64")
+    if case == "short_envelope":
+        return blob[:10]  # the magic and part of the version-to-length header
+    if case == "float_width":
+        return blob[:7] + bytes([2]) + blob[8:]
+    if case == "leaf_summary":
+        return _with_payload_byte(blob, 20, 2)  # after the five u32 config fields
+    if case == "zero_leaves":
+        sf = _random_surrogate(23)
+        return _with_payload_bytes(encode(sf, "f64"), SURROGATE_HEADER_BYTES, bytes(4))
+    assert case == "unread_bytes"
+    payload = blob[16:-4] + b"\x00"
+    return (
+        blob[:8] + struct.pack("<Q", len(payload)) + payload
+        + struct.pack("<I", zlib.crc32(payload))
+    )
+
+
+_CRAFTED = {
+    "short_envelope": (TruncatedPayloadError, "envelope header incomplete"),
+    "float_width": (CodecError, "invalid float width 2"),
+    "leaf_summary": (CodecError, "unknown leaf-summary code 2"),
+    "zero_leaves": (CodecError, "zero leaves"),
+    "unread_bytes": (CodecError, "1 unread bytes inside payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CRAFTED))
+def test_crafted_file_raises_its_error_and_predict_exits_2(case, tmp_path, capsys):
+    error, message = _CRAFTED[case]
+    blob = _crafted_blob(case)
+    with pytest.raises(error, match=message) as caught:
+        decode(blob)
+    assert type(caught.value) is error
+    model_path, rows_path = tmp_path / "m.rfsq", tmp_path / "rows.csv"
+    model_path.write_bytes(blob)
+    write_csv(gen_friedman1(5, 1.0, seed=0), rows_path)
+    assert cli.main(["predict", str(model_path), str(rows_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @functools.cache

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rfsquash import _util
 from rfsquash import forest as forest_module
+from rfsquash import surrogate as surrogate_module
 from rfsquash.codec import decode, encode
 from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
 from rfsquash.forest import (
@@ -28,6 +29,8 @@ from rfsquash.forest import (
     traverse_batch,
     tree_predict,
 )
+from rfsquash.mlr import MlrFitConfig
+from rfsquash.surrogate import squash_forest
 
 
 def _stump(threshold: float, left_value: float, right_value: float) -> DecisionTree:
@@ -644,22 +647,9 @@ class TestFitForest:
         for ra, rb in zip(rederive_subsamples(a), rederive_subsamples(b)):
             np.testing.assert_array_equal(ra, rb)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        ds = gen_friedman1(80, 1.0, seed=1)
-        config = ForestConfig(
-            subsample_size=40, features_per_split=4, max_depth=3, n_trees=6, seed=3
-        )
-        monkeypatch.setenv("RFSQ_THREADS", "1")
-        a = fit_forest(ds, config)
-        monkeypatch.setenv("RFSQ_THREADS", "4")
-        b = fit_forest(ds, config)
-        for ta, tb in zip(a.trees, b.trees):
-            np.testing.assert_array_equal(ta.split_thresholds, tb.split_thresholds)
-            np.testing.assert_array_equal(ta.leaf_values, tb.leaf_values)
-
     def test_trees_are_fitted_on_the_calling_thread(self, monkeypatch):
         # the split search holds the interpreter lock: worker threads only
-        # slowed the fit, so RFSQ_THREADS sets the squash workers alone
+        # slowed the fit
         ds = gen_friedman1(80, 1.0, seed=1)
         config = ForestConfig(
             subsample_size=40, features_per_split=4, max_depth=3, n_trees=6, seed=3
@@ -672,9 +662,28 @@ class TestFitForest:
             return fit_tree(*args)
 
         monkeypatch.setattr(forest_module, "fit_tree", recording_fit_tree)
-        monkeypatch.setenv("RFSQ_THREADS", "4")
         fit_forest(ds, config)
         assert threads == [threading.get_ident()] * config.n_trees
+
+    def test_surrogates_are_fitted_on_the_calling_thread(self, monkeypatch):
+        # squash_forest runs no pool of its own; callers who want one map
+        # fit_surrogate themselves (README)
+        ds = gen_friedman1(80, 1.0, seed=1)
+        config = ForestConfig(
+            subsample_size=40, features_per_split=4, max_depth=3, n_trees=6, seed=3
+        )
+        forest = fit_forest(ds, config)
+        calls = []
+        fit_surrogate = surrogate_module.fit_surrogate
+
+        def recording_fit_surrogate(tree, *args):
+            calls.append((threading.get_ident(), tree))
+            return fit_surrogate(tree, *args)
+
+        monkeypatch.setattr(surrogate_module, "fit_surrogate", recording_fit_surrogate)
+        squash_forest(forest, ds, MlrFitConfig())
+        assert [thread for thread, _ in calls] == [threading.get_ident()] * config.n_trees
+        assert all(tree is fitted for (_, tree), fitted in zip(calls, forest.trees))
 
     def test_noiseless_axis_leaf_values(self):
         # per-tree oracle: every leaf must carry one of the generating values

@@ -1,5 +1,4 @@
-"""Tests for seed derivation, the thread-pool helper, the input-shape rule
-and the in-order sums."""
+"""Tests for seed derivation, the input-shape rule and the in-order sums."""
 
 import re
 
@@ -9,11 +8,9 @@ import pytest
 from rfsquash._util import (
     derive_seed,
     mean_over_trees,
-    parallel_map,
     rng_for,
     rows,
     sum_in_order,
-    thread_count,
 )
 from rfsquash.data import gen_friedman1
 from rfsquash.forest import ForestConfig, fit_forest, forest_predict_batch
@@ -40,23 +37,6 @@ class TestSeeds:
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             rng_for(1, -2, 3)
-
-
-class TestThreads:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("RFSQ_THREADS", "5")
-        assert thread_count() == 5
-        monkeypatch.setenv("RFSQ_THREADS", "not-a-number")
-        assert thread_count() == 1
-        monkeypatch.delenv("RFSQ_THREADS")
-        assert thread_count() == 1
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        items = list(range(40))
-        monkeypatch.setenv("RFSQ_THREADS", "4")
-        assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
-        monkeypatch.setenv("RFSQ_THREADS", "1")
-        assert parallel_map(lambda v: v + 1, items) == [v + 1 for v in items]
 
 
 class TestSumInOrder:
