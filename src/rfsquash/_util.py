@@ -39,15 +39,16 @@ def one_row(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
     return x
 
 
-def rows(x: np.ndarray, n_features: int, owner: str) -> np.ndarray:
-    """x as a float64 (N, n_features) matrix, a vector of n_features values
-    being one row. Anything else raises ValueError: a wrong width, a lone
-    number or an array of three or more dimensions."""
+def rows(x: np.ndarray, n_features: int | None, owner: str) -> np.ndarray:
+    """x as a float64 (N, p) matrix, a vector of p values being one row; p is
+    n_features, or any width when that is None. Anything else raises
+    ValueError: a wrong width, a lone number or an array of three or more
+    dimensions."""
     x = np.asarray(x, dtype=np.float64)
-    if not 1 <= x.ndim <= 2 or x.shape[-1] != n_features:
+    if not 1 <= x.ndim <= 2 or n_features not in (None, x.shape[-1]):
+        width = "p" if n_features is None else n_features
         raise ValueError(
-            f"{owner} expects {n_features} features per row, got an input "
-            f"of shape {x.shape}"
+            f"{owner} expects {width} features per row, got an input of shape {x.shape}"
         )
     return np.atleast_2d(x)
 

@@ -214,11 +214,8 @@ def _encode_surrogate_payload(sf: SurrogateForest, width: int) -> bytes:
     for s in sf.surrogates:
         k = s.n_leaves
         out += struct.pack("<I", k)
-        if s.model is not None:
-            params = np.hstack(
-                [s.model.intercepts[:, None], s.model.coefficients]
-            ).ravel()
-            out += _pack_floats(params, width)
+        params = np.hstack([s.model.intercepts[:, None], s.model.coefficients])
+        out += _pack_floats(params.ravel(), width)  # none when K = 1
         out += _pack_floats(s.leaf_values, width)
         out += mode_byte  # every tree repeats the ensemble's mode
     return bytes(out)
@@ -233,10 +230,8 @@ def _decode_surrogate_payload(cur: _Cursor) -> SurrogateForest:
         k = cur.u32()
         if k < 1:
             raise CodecError("surrogate tree declares zero leaves")
-        model = None
-        if k > 1:
-            params = cur.floats((k - 1) * (p + 1)).reshape(k - 1, p + 1)
-            model = MlrModel(intercepts=params[:, 0], coefficients=params[:, 1:])
+        params = cur.floats((k - 1) * (p + 1)).reshape(k - 1, p + 1)
+        model = MlrModel(intercepts=params[:, 0], coefficients=params[:, 1:])
         values = cur.floats(k)
         mode_code = cur.u8()
         if mode_code not in _MODE_NAME:

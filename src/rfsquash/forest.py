@@ -407,8 +407,6 @@ def traverse(tree: DecisionTree, x: np.ndarray) -> int:
     if x.ndim != 1:
         raise ValueError(f"traverse expects one 1-D row, got an input of shape {x.shape}")
     n_internal = tree.n_internal
-    if n_internal == 0:
-        return 0
     node = 0
     while node < n_internal:
         f = tree.split_features[node]
@@ -424,8 +422,9 @@ def traverse(tree: DecisionTree, x: np.ndarray) -> int:
 
 
 def traverse_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    """Vectorized traverse for a (N, p) matrix; returns (N,) leaf indices."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Vectorized traverse for a (N, p) matrix or one 1-D row; returns (N,)
+    leaf indices."""
+    x = _util.rows(x, None, "traverse_batch")
     top = int(tree.split_features.max(initial=-1))
     if top >= x.shape[1]:
         raise ValueError(f"input has {x.shape[1]} features but tree splits feature {top}")

@@ -54,6 +54,9 @@ NAN_LOGIT = "a logit is NaN: the features or parameters overflowed"
 class MlrModel:
     """Fitted multinomial-logit parameters, base category = last index.
 
+    K >= 1. A one-category model has no parameter rows: its only category is
+    the base, which gets probability 1 at every row.
+
     Parameters
     ----------
     intercepts : np.ndarray
@@ -75,8 +78,6 @@ class MlrModel:
                 f"{intercepts.shape[0]} intercepts vs "
                 f"{coefficients.shape[0]} coefficient rows"
             )
-        if intercepts.shape[0] < 1:
-            raise ValueError("model needs K >= 2, so at least one parameter row")
         if not (np.isfinite(intercepts).all() and np.isfinite(coefficients).all()):
             raise ValueError("model parameters must be finite")
         intercepts.setflags(write=False)
@@ -91,10 +92,6 @@ class MlrModel:
     @property
     def n_features(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def base_category(self) -> int:
-        return self.n_categories - 1
 
 
 @dataclass(frozen=True)
@@ -367,9 +364,6 @@ class _Objective:
         ll = float(np.vdot(w, self.label_phi)) - float(np.sum(np.log(denom) + top))
         return ll - self._penalty(w), e, denom
 
-    def value(self, w: np.ndarray) -> float:
-        return self._numerators(w)[0]
-
     def value_grad_probs(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """One pass computing the objective, its standardized-space gradient
         (Y - P) Phi - W Q (A, p+1), and the (A, N) active-category
@@ -506,9 +500,9 @@ def _ascend(
     step = 0.5
     for _ in range(_MAX_HALVINGS - 1):
         candidate = w + step * direction
-        f1 = objective.value(candidate)
+        f1, grad, probs = objective.value_grad_probs(candidate)
         if np.isfinite(f1) and f1 >= f0:
-            return (candidate, *objective.value_grad_probs(candidate))
+            return candidate, f1, grad, probs
         step *= 0.5
     return None
 
@@ -547,7 +541,9 @@ def fit_mlr(
 
     Starts from all-zero coefficients. Categories absent from the labels are
     pinned at zero coefficients; they stay addressable at prediction time.
-    The fit is deterministic: equal inputs give bit-equal models.
+    With one category (K = 1), or labels all in the base, there is nothing
+    to fit: the all-zero model comes back converged after 0 steps. The fit
+    is deterministic: equal inputs give bit-equal models.
 
     Returns
     -------
@@ -555,13 +551,13 @@ def fit_mlr(
         The fitted model plus whether the gradient tolerance was met before
         the iteration cap.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = _util.rows(features, None, "fit_mlr")
     if x.size == 0:
         raise ValueError("empty feature matrix")
     if not np.isfinite(x).all():
         raise NumericError("features contain non-finite values")
-    if n_categories < 2:
-        raise ValueError(f"need n_categories >= 2, got {n_categories}")
+    if n_categories < 1:
+        raise ValueError(f"need n_categories >= 1, got {n_categories}")
     labels = _check_labels(labels, n_categories)
     if labels.shape[0] != x.shape[0]:
         raise ValueError(f"{x.shape[0]} feature rows vs {labels.shape[0]} labels")

@@ -79,13 +79,14 @@ _CELLS = 2**16
 class TreeSurrogate:
     """A tree replacement: leaf-routing MLR plus the original leaf values.
 
-    ``model`` is None exactly when the source tree had a single leaf; no
-    multinomial model is needed to route to one category. ``converged``,
-    ``newton_steps`` and ``cg_steps`` are training-time diagnostics copied
-    from the fit (0 steps when nothing was fitted) and are not serialized.
+    The model has one category per leaf. A single-leaf tree's has one
+    category and no parameters, and routes every row to that leaf.
+    ``converged``, ``newton_steps`` and ``cg_steps`` are training-time
+    diagnostics copied from the fit (0 steps when nothing was fitted) and
+    are not serialized.
     """
 
-    model: Optional[MlrModel]
+    model: MlrModel
     leaf_values: np.ndarray
     converged: bool = True
     newton_steps: int = 0
@@ -98,10 +99,7 @@ class TreeSurrogate:
         k = leaf_values.shape[0]
         if k < 1:
             raise ValueError("surrogate needs at least one leaf value")
-        if self.model is None:
-            if k != 1:
-                raise ValueError("model may be omitted only for single-leaf trees")
-        elif self.model.n_categories != k:
+        if self.model.n_categories != k:
             raise ValueError(
                 f"model has {self.model.n_categories} categories for {k} leaf values"
             )
@@ -131,7 +129,7 @@ class SurrogateForest:
         if self.n_features < 1:
             raise ValueError("surrogate forest must record a positive feature count")
         for s in self.surrogates:
-            if s.model is not None and s.model.n_features != self.n_features:
+            if s.model.n_features != self.n_features:
                 raise ValueError(
                     f"surrogate model has {s.model.n_features} features, "
                     f"forest records {self.n_features}"
@@ -182,9 +180,8 @@ def _stack_surrogates(
         k = s.n_leaves
         weights[-1, j, k - 1] = 0.0
         values[j, 0, :k] = s.leaf_values
-        if s.model is not None:
-            weights[:-1, j, : k - 1] = s.model.coefficients.T
-            weights[-1, j, : k - 1] = s.model.intercepts
+        weights[:-1, j, : k - 1] = s.model.coefficients.T
+        weights[-1, j, : k - 1] = s.model.intercepts
     return _Stack(weights.reshape(n_features + 1, m * k_max), values)
 
 
@@ -325,11 +322,10 @@ def fit_surrogate(
 ) -> TreeSurrogate:
     """Fit the multinomial surrogate of one tree on its own training subsample.
 
-    Leaf values are copied verbatim; only the routing function changes.
-    Single-leaf trees skip model fitting entirely.
+    Leaf values are copied verbatim; only the routing function changes. A
+    single-leaf tree's rows are checked like any other's, and its surrogate
+    gets the one-category model, with nothing to fit.
     """
-    if tree.n_leaves == 1:
-        return TreeSurrogate(model=None, leaf_values=tree.leaf_values.copy())
     features, labels = extract_leaf_dataset(tree, dataset, rows)
     result = fit_mlr(features, labels, tree.n_leaves, config)
     return TreeSurrogate(

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from rfsquash.surrogate import (
 )
 
 AXIS_SPEC = "axis:n=400,thresholds=0:0.5,values=2;4"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -423,7 +428,8 @@ class TestEvaluateAndPredict:
             model = Forest(trees=(leaf, leaf), config=config, dataset_rows=2,
                            dataset_fingerprint=0, n_features=1)
         else:
-            leaf = TreeSurrogate(model=None, leaf_values=np.array([1.5e308]))
+            one = MlrModel(np.zeros(0), np.zeros((0, 1)))
+            leaf = TreeSurrogate(model=one, leaf_values=np.array([1.5e308]))
             model = SurrogateForest(surrogates=(leaf, leaf), config=config,
                                     prediction_mode="expectation", n_features=1)
         model_path = tmp_path / "m.rfsq"
@@ -562,6 +568,29 @@ class TestFileErrors:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"data error: {csv} has no feature columns, only 'y'\n"
+
+    def test_csv_with_a_repeated_column_name_exits_2(self, capsys, tmp_path):
+        csv = tmp_path / "twice.csv"
+        csv.write_text("a,a,y\n1,2,3\n4,5,6\n")
+        code, out, err = run_cli(capsys, "train", str(csv), "--out", str(tmp_path / "f.rfsq"))
+        assert (code, out) == (2, "")
+        assert err == f"data error: duplicate column names in header of {csv}\n"
+        assert not (tmp_path / "f.rfsq").exists()
+
+    def test_unknown_prediction_mode_byte_exits_2(self, capsys, tmp_path):
+        # the one tree's mode byte is the payload's last; the CRC is resealed
+        _, sf = _stump_models()
+        blob = bytearray(encode(sf))
+        assert blob[-5] == 1  # expectation
+        blob[-5] = 2
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+        model = tmp_path / "m.rfsq"
+        model.write_bytes(bytes(blob))
+        probe = tmp_path / "probe.csv"
+        probe.write_text("x1\n0.25\n")
+        code, out, err = run_cli(capsys, "predict", str(model), str(probe))
+        assert (code, out) == (2, "")
+        assert err == "data error: unknown prediction-mode code 2\n"
 
     @pytest.mark.parametrize("command", ["predict", "squash"])
     def test_model_that_is_a_directory_exits_2(self, capsys, tmp_path, command):
@@ -703,6 +732,18 @@ class TestBench:
         assert all(r["cell"]["lambda"] == -1 for r in bad)
         assert all("l2_penalty" in r["error"] for r in bad)
 
+    def test_text_table_names_a_failed_cell(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bench", "friedman1:n=150,noise=1", "--d", "1", "--m", "2",
+            "--lambda", "-1", "--format", "text", "--seed", "4",
+        )
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert len(lines) == 3  # header + forest + surrogate
+        for line, kind in zip(lines[1:], ("forest", "surrogate")):
+            assert line.split()[:6] == ["1", "2", "-1", "expectation", "f64", kind]
+            assert "error: " in line and "l2_penalty" in line
+
     def test_deterministic_across_runs(self, capsys, tmp_path):
         outputs = []
         for _ in range(3):
@@ -759,6 +800,21 @@ class TestUsage:
     def test_no_command_exits_1(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 1)])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, argv, code):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "rfsquash", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        assert ("usage: rfsquash" in result.stdout) == (code == 0)
+        assert ("invalid choice: 'bogus'" in result.stderr) == (code == 1)
 
     def test_train_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "train", AXIS_SPEC)

@@ -72,13 +72,8 @@ def _manual_surrogate(k, p, mode="expectation", scale=1.0, m=1):
     rng = np.random.default_rng(k * 1000 + p)
     surrogates = tuple(
         TreeSurrogate(
-            model=(
-                MlrModel(
-                    rng.normal(scale=scale, size=k - 1),
-                    rng.normal(scale=scale, size=(k - 1, p)),
-                )
-                if k > 1
-                else None
+            model=MlrModel(
+                rng.normal(scale=scale, size=k - 1), rng.normal(scale=scale, size=(k - 1, p))
             ),
             leaf_values=rng.normal(size=k),
         )
@@ -100,6 +95,16 @@ class TestLayoutArithmetic:
     def test_forest_tree_payload(self):
         # K leaves: (K-1) nodes of 20 bytes + K leaves of 12 bytes + 8 framing
         assert forest_tree_bytes(4, 8) == 8 + 3 * 20 + 4 * 12
+
+    def test_single_leaf_surrogate_stores_no_parameters(self):
+        # K=1: the leaf count, one leaf value and the mode byte, 4 + 8 + 1
+        sf = _manual_surrogate(1, 10, m=2)
+        blob = encode(sf, "f64")
+        assert surrogate_tree_bytes(1, 10, 8) == 13
+        assert len(blob) == ENVELOPE_BYTES + SURROGATE_HEADER_BYTES + 2 * 13
+        restored = decode(blob)
+        assert encode(restored, "f64") == blob
+        assert all(s.model.coefficients.shape == (0, 10) for s in restored.surrogates)
 
     def test_measured_size_includes_envelope_and_header(self):
         sf = _manual_surrogate(3, 10)
@@ -151,12 +156,9 @@ class TestRoundTrip:
         sf = _random_surrogate(6)
         restored = decode(encode(sf, "f32"))
         for original, back in zip(sf.surrogates, restored.surrogates):
-            if original.model is None:
-                continue
-            rel = np.abs(back.model.coefficients - original.model.coefficients) / (
-                np.abs(original.model.coefficients) + 1e-30
+            np.testing.assert_allclose(
+                back.model.coefficients, original.model.coefficients, rtol=1e-6, atol=0
             )
-            assert rel.max() < 1e-6
 
     def test_structural_claim_no_tree_fields_in_surrogate_file(self):
         # The surrogate payload has no room for thresholds or child pointers:

@@ -116,6 +116,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path, "y")
 
+    def test_repeated_header_name(self, tmp_path):
+        # the one-pass reader declines the file, and the per-cell one names it
+        path = tmp_path / "t.csv"
+        path.write_text("a,a,y\n1,2,3\n")
+        assert _read_in_one_pass(path) is None
+        with pytest.raises(DataError, match="duplicate column names in header"):
+            load_csv(path, "y")
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,y\n1,2\n3\n")

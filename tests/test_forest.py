@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import threading
 import tracemalloc
 
@@ -584,6 +585,16 @@ class TestTraverse:
         for x in (np.zeros((2, 1)), np.float64(0.0)):
             with pytest.raises(ValueError, match="one 1-D row"):
                 traverse(leaf, x)
+
+    def test_batch_rejects_anything_but_rows(self):
+        # a 3-D input used to fail to unpack its shape, or to be checked for
+        # width along its second axis; a lone number passed as a one-feature row
+        tree = _stump(0.5, 1.0, 2.0)
+        for x in (np.zeros((2, 10, 10)), np.zeros((2, 3, 10)), np.float64(0.9)):
+            message = f"traverse_batch expects p features per row, got an input of shape {x.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                traverse_batch(tree, x)
+        np.testing.assert_array_equal(traverse_batch(tree, np.array([0.9])), [1])
 
     def test_batch_matches_scalar(self):
         ds = gen_friedman1(50, 1.0, seed=8)

@@ -1,6 +1,7 @@
 """Tests for the multinomial distribution and penalized MLR fitting."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -129,7 +130,6 @@ class TestClassProbabilities:
 
     def test_base_category_is_last(self):
         model = MlrModel(np.array([5.0]), np.zeros((1, 1)))
-        assert model.base_category == 1
         probs = class_probabilities(model, np.zeros(1))
         assert probs[0] > probs[1]
 
@@ -219,6 +219,26 @@ class TestFitMlr:
         assert result.converged
         assert (result.iterations, result.cg_steps) == (0, 0)
         assert predict_class(result.model, x[0]) == 0
+
+    def test_one_category_is_the_parameter_free_model(self):
+        # a single-leaf tree's allocation: every label is the only category
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        result = fit_mlr(x, np.zeros(6, dtype=int), 1, MlrFitConfig())
+        assert result.model.intercepts.shape == (0,)
+        assert result.model.coefficients.shape == (0, 3)
+        assert result.converged and result.optimizer_used == "none"
+        assert (result.iterations, result.cg_steps) == (0, 0)
+        np.testing.assert_array_equal(class_probability_matrix(result.model, x), 1.0)
+        assert predict_class(result.model, x[0]) == 0
+
+    def test_rejects_anything_but_rows(self):
+        # a 3-D input used to fail to unpack its shape; a lone number passed
+        # as a one-feature row
+        for x in (np.zeros((2, 4, 10)), np.float64(1.0)):
+            message = f"fit_mlr expects p features per row, got an input of shape {x.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit_mlr(x, np.zeros(2, dtype=int), 2, MlrFitConfig())
+        assert fit_mlr(np.zeros(4), np.zeros(1, dtype=int), 2, MlrFitConfig()).model.n_features == 4
 
     def test_absent_middle_category_stays_zero(self):
         rng = np.random.default_rng(4)
@@ -446,7 +466,7 @@ class TestFitMlr:
     def test_errors(self):
         x = np.zeros((3, 1))
         with pytest.raises(ValueError, match="n_categories"):
-            fit_mlr(x, np.zeros(3, dtype=int), 1, MlrFitConfig())
+            fit_mlr(x, np.zeros(3, dtype=int), 0, MlrFitConfig())
         with pytest.raises(ValueError, match="empty"):
             fit_mlr(np.zeros((0, 1)), np.zeros(0, dtype=int), 2, MlrFitConfig())
         with pytest.raises(NumericError, match="non-finite"):
@@ -490,7 +510,6 @@ class TestObjectiveOracle:
         assert model.intercepts[1] == 0.0 and not model.coefficients[1].any()
         expected = penalized_log_likelihood(model, x, labels, lam)
         value, grad, probs = objective.value_grad_probs(w)
-        assert value == objective.value(w)
         assert value == pytest.approx(expected, rel=1e-12)
         # w maps to the original parameters through T per category, so the
         # standardized gradient is the original one pushed through T'

@@ -51,6 +51,11 @@ def _fitted_tree(dataset, depth, k=None, min_leaf=1, seed=0):
     return fit_tree(dataset, rows, config, tree_seed=seed), rows
 
 
+def _one_category(p):
+    """The parameter-free model of a single-leaf tree over p features."""
+    return MlrModel(np.zeros(0), np.zeros((0, p)))
+
+
 def _lone(surrogate, mode, n_features):
     """The one-tree surrogate forest of ``surrogate``, predicted in ``mode``."""
     config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=1)
@@ -115,7 +120,10 @@ class TestFitSurrogate:
         ds = gen_friedman1(20, 0.0, seed=5)
         tree, rows = _fitted_tree(ds, depth=0)
         surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
-        assert surrogate.model is None
+        assert surrogate.model.n_categories == 1 and surrogate.model.intercepts.size == 0
+        assert surrogate.converged and surrogate.newton_steps == surrogate.cg_steps == 0
+        with pytest.raises(DataError, match="fitted on"):  # its rows are checked too
+            fit_surrogate(tree, ds, rows[:-1], MlrFitConfig())
         value = tree.leaf_values[0]
         for mode in ("argmax", "expectation"):
             for x in ds.features[:5]:
@@ -280,7 +288,7 @@ class TestSurrogatePredict:
         assert _surrogate_row(surrogate, rows[0], "expectation") == 1.5e308
 
     def test_mode_validation(self):
-        surrogate = TreeSurrogate(model=None, leaf_values=np.array([1.0]))
+        surrogate = TreeSurrogate(model=_one_category(1), leaf_values=np.array([1.0]))
         with pytest.raises(ValueError, match="prediction_mode must be one of"):
             _lone(surrogate, "soft", 1)
         ds = gen_friedman1(20, 1.0, seed=5)
@@ -379,10 +387,43 @@ class TestSquashForest:
         assert default.prediction_mode == "expectation"
 
 
+class TestShapeChecks:
+    CONFIG = ForestConfig(subsample_size=1, features_per_split=1, max_depth=1, n_trees=2)
+
+    def _forest(self, surrogates, n_features=2):
+        return SurrogateForest(
+            surrogates=surrogates, config=self.CONFIG, prediction_mode="argmax",
+            n_features=n_features,
+        )
+
+    def test_leaf_count_must_match_the_model(self):
+        with pytest.raises(ValueError, match="model has 1 categories for 2 leaf values"):
+            TreeSurrogate(model=_one_category(2), leaf_values=np.array([1.0, 2.0]))
+        model = MlrModel(np.zeros(1), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="model has 2 categories for 1 leaf values"):
+            TreeSurrogate(model=model, leaf_values=np.array([1.0]))
+
+    def test_forest_rejects_the_wrong_count_and_widths(self):
+        leaf = TreeSurrogate(model=_one_category(2), leaf_values=np.array([1.0]))
+        with pytest.raises(ValueError, match="1 surrogates for config.n_trees=2"):
+            self._forest((leaf,))
+        with pytest.raises(ValueError, match="positive feature count"):
+            self._forest((leaf, leaf), n_features=0)
+        two = TreeSurrogate(
+            model=MlrModel(np.zeros(1), np.zeros((1, 3))), leaf_values=np.array([1.0, 2.0])
+        )
+        narrow = TreeSurrogate(model=_one_category(1), leaf_values=np.array([1.0]))
+        for other in (two, narrow):  # single-leaf surrogates are checked too
+            message = f"surrogate model has {other.model.n_features} features, forest records 2"
+            with pytest.raises(ValueError, match=message):
+                self._forest((leaf, other))
+        assert self._forest((leaf, leaf)).n_trees == 2
+
+
 class TestSurrogateForestPredict:
     def test_mean_of_two_surrogates(self):
         surrogates = tuple(
-            TreeSurrogate(model=None, leaf_values=np.array([v])) for v in (2.0, 4.0)
+            TreeSurrogate(model=_one_category(1), leaf_values=np.array([v])) for v in (2.0, 4.0)
         )
         config = ForestConfig(
             subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
@@ -396,7 +437,8 @@ class TestSurrogateForestPredict:
     def test_overflowing_sum_of_finite_forecasts_stays_finite(self, mode):
         # 1.5e308 + 1.5e308 overflows; their mean used to come out inf
         surrogates = tuple(
-            TreeSurrogate(model=None, leaf_values=np.array([1.5e308])) for _ in range(2)
+            TreeSurrogate(model=_one_category(1), leaf_values=np.array([1.5e308]))
+            for _ in range(2)
         )
         config = ForestConfig(
             subsample_size=1, features_per_split=1, max_depth=0, n_trees=2
@@ -472,11 +514,7 @@ def _mixed_surrogate_forest(mode, leaf_counts=(1, 4, 2, 9, 1, 3, 6), p=4, seed=3
     rng = np.random.default_rng(seed)
     surrogates = tuple(
         TreeSurrogate(
-            model=(
-                MlrModel(rng.normal(scale=2, size=k - 1), rng.normal(size=(k - 1, p)))
-                if k > 1
-                else None
-            ),
+            model=MlrModel(rng.normal(scale=2, size=k - 1), rng.normal(size=(k - 1, p))),
             leaf_values=rng.uniform(1.0, 10.0, size=k),
         )
         for k in leaf_counts
@@ -493,9 +531,6 @@ def _oracle(sf, x):
     """Per-surrogate forecasts from the MLR probabilities, one model at a time."""
     per_tree = []
     for s in sf.surrogates:
-        if s.model is None:
-            per_tree.append(np.full(x.shape[0], s.leaf_values[0]))
-            continue
         probs = class_probability_matrix(s.model, x)
         if sf.prediction_mode == "argmax":
             per_tree.append(s.leaf_values[np.argmax(probs, axis=1)])
@@ -558,7 +593,7 @@ class TestStackedKernel:
             surrogate([0.5, 0.5], [[0.0], [0.0]], 3),  # leaves 0 and 1 tie
             surrogate([-1.0, 0.0, 0.0], [[0.0]] * 3, 4),  # leaves 1, 2 and the base
             surrogate([-1.0], [[1.0]], 2),  # leaf 0 ties the base at x = 1 only
-            TreeSurrogate(model=None, leaf_values=np.array([7.0])),
+            TreeSurrogate(model=_one_category(1), leaf_values=np.array([7.0])),
         )
         config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=2, n_trees=4)
         sf = SurrogateForest(
@@ -868,8 +903,6 @@ class TestOneRowAgainstLargerBlocks:
         sf = workload_surrogate_forest
         x = np.random.default_rng(64).uniform(-0.2, 1.2, (50, sf.n_features))
         for s in sf.surrogates[:8]:
-            if s.model is None:
-                continue
             matrix = class_probability_matrix(s.model, x)
             rows = np.array([class_probabilities(s.model, row) for row in x])
             np.testing.assert_allclose(rows, matrix, rtol=1e-12, atol=0)

@@ -84,7 +84,7 @@ def _batch_predictors():
     model = MlrModel(rng.normal(size=2), rng.normal(size=(2, 10)))
     surrogates = (
         TreeSurrogate(model=model, leaf_values=np.array([1.0, 2.0, 4.0])),
-        TreeSurrogate(model=None, leaf_values=np.array([3.0])),
+        TreeSurrogate(model=MlrModel(np.zeros(0), np.zeros((0, 10))), leaf_values=np.array([3.0])),
     )
     predictors = [
         ("forest", lambda x: forest_predict_batch(forest, x)),
