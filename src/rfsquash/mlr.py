@@ -542,7 +542,8 @@ def fit_mlr(
     Starts from all-zero coefficients. Categories absent from the labels are
     pinned at zero coefficients; they stay addressable at prediction time.
     With one category (K = 1), or labels all in the base, there is nothing
-    to fit: the all-zero model comes back converged after 0 steps. The fit
+    to fit: the all-zero model comes back converged after 0 steps. Features
+    may have zero columns (p = 0); the model is then intercept-only. The fit
     is deterministic: equal inputs give bit-equal models.
 
     Returns
@@ -552,8 +553,8 @@ def fit_mlr(
         the iteration cap.
     """
     x = _util.rows(features, None, "fit_mlr")
-    if x.size == 0:
-        raise ValueError("empty feature matrix")
+    if x.shape[0] == 0:
+        raise ValueError("empty feature matrix: no rows")
     if not np.isfinite(x).all():
         raise NumericError("features contain non-finite values")
     if n_categories < 1:

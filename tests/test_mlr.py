@@ -231,6 +231,26 @@ class TestFitMlr:
         np.testing.assert_array_equal(class_probability_matrix(result.model, x), 1.0)
         assert predict_class(result.model, x[0]) == 0
 
+    def test_zero_width_features_fit_the_intercepts(self):
+        # a single-leaf tree's surrogate is fitted on its split features: none
+        x = np.empty((9, 0))
+        single = fit_mlr(x, np.zeros(9, dtype=int), 1, MlrFitConfig())
+        assert single.model.coefficients.shape == (0, 0)
+        assert single.converged and (single.iterations, single.cg_steps) == (0, 0)
+        labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1])
+        config = MlrFitConfig(l2_penalty=1e-3)
+        binary = fit_mlr(x, labels, 2, config)
+        assert binary.model.coefficients.shape == (1, 0)
+        assert binary.converged and binary.iterations > 0
+        assert np.isfinite(binary.model.intercepts).all()
+        # the intercept-only MLE is the log-odds of the label counts, up to
+        # the penalty's pull
+        assert binary.model.intercepts[0] == pytest.approx(np.log(6 / 3), abs=1e-3)
+        grad = penalized_gradient(binary.model, x, labels, config.l2_penalty)
+        assert np.abs(grad).max() <= config.gradient_tolerance
+        with pytest.raises(ValueError, match="no rows"):
+            fit_mlr(np.empty((0, 0)), np.zeros(0, dtype=int), 1, MlrFitConfig())
+
     def test_rejects_anything_but_rows(self):
         # a 3-D input used to fail to unpack its shape; a lone number passed
         # as a one-feature row

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from rfsquash import _util
 from rfsquash import surrogate as surrogate_module
 from rfsquash.codec import decode, encode
 from rfsquash.data import Dataset, gen_axis_partition, gen_friedman1
@@ -171,7 +172,9 @@ class TestFitSurrogate:
         ds = gen_friedman1(120, 1.0, seed=8)
         tree, rows = _fitted_tree(ds, depth=3)
         surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
-        result = fit_mlr(*extract_leaf_dataset(tree, ds, rows), tree.n_leaves, MlrFitConfig())
+        features, labels = extract_leaf_dataset(tree, ds, rows)
+        used = np.unique(tree.split_features)
+        result = fit_mlr(features[:, used], labels, tree.n_leaves, MlrFitConfig())
         assert surrogate.converged == result.converged
         assert (surrogate.newton_steps, surrogate.cg_steps) == (
             result.iterations, result.cg_steps
@@ -180,6 +183,38 @@ class TestFitSurrogate:
         stump, stump_rows = _fitted_tree(ds, depth=0)
         single = fit_surrogate(stump, ds, stump_rows, MlrFitConfig())
         assert (single.newton_steps, single.cg_steps) == (0, 0)
+
+    def test_fit_is_the_split_feature_fit_scattered(self):
+        # k < p, so the tree leaves some features unused
+        ds = gen_friedman1(300, 1.0, seed=9)
+        tree, rows = _fitted_tree(ds, depth=3, k=3, min_leaf=5, seed=4)
+        used = np.unique(tree.split_features)
+        assert 0 < used.size < ds.n_features
+        config = MlrFitConfig()
+        surrogate = fit_surrogate(tree, ds, rows, config)
+        features, labels = extract_leaf_dataset(tree, ds, rows)
+        result = fit_mlr(features[:, used], labels, tree.n_leaves, config)
+        coefficients = np.zeros((tree.n_leaves - 1, ds.n_features))
+        coefficients[:, used] = result.model.coefficients
+        np.testing.assert_array_equal(surrogate.model.intercepts, result.model.intercepts)
+        np.testing.assert_array_equal(surrogate.model.coefficients, coefficients)
+
+    def test_single_leaf_tree_takes_the_same_path(self, monkeypatch):
+        # no special case: fit_mlr sees the tree's zero split-feature columns
+        ds = gen_friedman1(40, 1.0, seed=10)
+        stump, rows = _fitted_tree(ds, depth=0)
+        widths = []
+
+        def spy(features, *args):
+            widths.append(features.shape)
+            return fit_mlr(features, *args)
+
+        monkeypatch.setattr(surrogate_module, "fit_mlr", spy)
+        single = fit_surrogate(stump, ds, rows, MlrFitConfig())
+        assert widths == [(40, 0)]
+        assert single.model.n_categories == 1
+        assert single.model.coefficients.shape == (0, ds.n_features)
+        assert single.converged and (single.newton_steps, single.cg_steps) == (0, 0)
 
     def test_median_summary_rides_through_squash(self):
         ds = gen_friedman1(200, 1.0, seed=21)
@@ -349,6 +384,21 @@ class TestSquashForest:
         assert encode(pooled, "f64") == encode(serial, "f64")
         steps = [[(s.newton_steps, s.cg_steps) for s in sf.surrogates] for sf in (pooled, serial)]
         assert steps[0] == steps[1]
+
+    def test_unsplit_features_have_zero_coefficients(self):
+        ds = gen_friedman1(400, 1.0, seed=3)
+        config = ForestConfig(
+            subsample_size=200, features_per_split=3, max_depth=3, n_trees=6,
+            min_leaf=5, seed=3,
+        )
+        forest = fit_forest(ds, config)
+        sf = squash_forest(forest, ds, MlrFitConfig())
+        unused_somewhere = 0
+        for tree, s in zip(forest.trees, sf.surrogates):
+            unused = np.setdiff1d(np.arange(ds.n_features), tree.split_features)
+            unused_somewhere += unused.size
+            assert (s.model.coefficients[:, unused] == 0.0).all()
+        assert unused_somewhere > 0
 
     def test_fingerprint_mismatch_rejected(self):
         ds, forest = self._forest()
@@ -739,6 +789,33 @@ class TestOneRowPath:
         per_tree = surrogate_module._row_predictions(sf._stack, x[0], mode)
         assert per_tree[0] == 1.0 and per_tree[1] == 1.5e308
         assert surrogate_module._row_predictions(sf._stack, x[1], mode)[0] == 2.0
+
+    @pytest.mark.parametrize("mode", ["argmax", "expectation"])
+    def test_mean_takes_the_overflow_guard_only_when_sums_can_overflow(
+        self, mode, monkeypatch
+    ):
+        guarded = []
+        mean_over_trees = _util.mean_over_trees
+        monkeypatch.setattr(
+            _util, "mean_over_trees", lambda a: guarded.append(a) or mean_over_trees(a)
+        )
+        sf = _mixed_surrogate_forest(mode)
+        for row in np.random.default_rng(63).normal(scale=2, size=(20, sf.n_features)):
+            surrogate_forest_predict(sf, row)
+        assert guarded == []
+        top = np.finfo(np.float64).max
+        # two trees: leaf values up to top / 4 cannot overflow a row's sum,
+        # larger ones can
+        for value, takes_guard in ((top / 4, False), (np.nextafter(top / 4, top), True)):
+            surrogates = tuple(
+                TreeSurrogate(model=_one_category(1), leaf_values=np.array([value]))
+                for _ in range(2)
+            )
+            config = ForestConfig(subsample_size=1, features_per_split=1, max_depth=0, n_trees=2)
+            sf = SurrogateForest(surrogates, config, mode, 1)
+            assert surrogate_forest_predict(sf, np.zeros(1)) == value
+            assert (len(guarded) == 1) == takes_guard
+            guarded.clear()
 
     def test_nan_logit_raises_on_both_paths(self):
         # a NaN feature gives a NaN logit (as can inf - inf inside the GEMM)
