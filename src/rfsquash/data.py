@@ -258,12 +258,12 @@ def write_csv(dataset: Dataset, path: str | Path, response_column: str = "y") ->
     ``load_csv(write_csv(d))`` reproduces every float exactly.
     """
     table = np.column_stack([dataset.features, dataset.responses]).tolist()
-    row = ",".join(["{:.17g}"] * (dataset.n_features + 1)) + "\r\n"
+    row = ",".join(["%.17g"] * (dataset.n_features + 1)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + [response_column])
         # the rows csv.writer would write: no cell needs quoting, and its
         # line terminator is \r\n
-        fh.write("".join([row.format(*cells) for cells in table]))
+        fh.write("".join([row % tuple(cells) for cells in table]))
 
 
 def gen_friedman1(n: int, noise_sd: float, seed: int) -> Dataset:

@@ -24,6 +24,15 @@ The fit stops when the max-norm of the penalized gradient with respect to
 the original-scale parameters is within the tolerance, or at the iteration
 cap.
 
+The Hessian-vector products inside CG run in float32; everything else
+(objective, gradient, preconditioner, line search and stopping test) stays
+float64, so a converged fit meets the tolerance on the exact gradient and
+only the search directions carry float32 rounding. The probabilities are
+cast once per Newton step, with entries below 1e-20 zeroed so that none
+is subnormal (subnormal operands made float32 products slower than
+float64 ones), and each direction is scaled by an exact power of two into
+[1/2, 1) before its cast, so no operand or result leaves float32's range.
+
 Features are standardized internally for conditioning; the penalty is applied
 to the original-scale parameters (pulled back through the standardization
 map), and coefficients are mapped back to the original scale before return,
@@ -45,7 +54,22 @@ _MAX_HALVINGS = 50
 # Below this share of its diagonal entry, a pivot d is taken as lost to rounding
 _PIVOT_FLOOR = 1e-12
 _TINY = np.finfo(np.float64).tiny
-# An objective change within this share of |f| is rounding (8 machine epsilons)
+_TINY32 = np.finfo(np.float32).tiny  # 2**-126, float32's smallest normal
+# Probabilities below this are zeroed in the float32 copy that curvature
+# products use, so that no operand there is subnormal: 1-1.5% of the leaf
+# probabilities at a fitted optimum lie below 2**-126, and the microcode
+# assists on them made an unflushed float32 fit about 2x slower than a
+# float64 one.
+# A floor of 2**-126 itself would still leave the products P * (u - P'u)
+# subnormal wherever |u - P'u| < 1; 1e-20 keeps them normal down to
+# |u - P'u| ~ 1e-18, while the scaled directions give |u| up to (p+1) sqrt(N).
+# A zeroed entry moves a product entry by under 1e-20 * 2 max|u| sqrt(N), 12
+# orders of magnitude below float32's rounding of terms of that size, and
+# zeroing keeps each row's probabilities non-negative with a sum <= 1, so
+# diag(P) - P P' stays positive semidefinite.
+_PROB_FLOOR = 1e-20
+# An objective change within this share of the terms f sums is rounding
+# (8 machine epsilons)
 _ROUNDING = 8 * np.finfo(np.float64).eps
 NAN_LOGIT = "a logit is NaN: the features or parameters overflowed"
 
@@ -323,6 +347,9 @@ class _Objective:
         np.divide((x - mean).T, scale[:, None], out=self._basis_t[1 : self.p + 1])
         np.square(self._basis_t[1 : self.p + 1], out=self._basis_t[self.p + 1 :])
         self.phi_t = self._basis_t[: self.p + 1]
+        # Standardized columns have sum z**2 = N, so |z| <= sqrt(N) and the
+        # float32 copy of Phi' that curvature products use cannot overflow
+        self._phi32_t = self.phi_t.astype(np.float32)
 
         # T maps standardized params [a', b'] to original [a, b] per category
         t = np.zeros((self.p + 1, self.p + 1))
@@ -364,6 +391,14 @@ class _Objective:
         ll = float(np.vdot(w, self.label_phi)) - float(np.sum(np.log(denom) + top))
         return ll - self._penalty(w), e, denom
 
+    def rounding(self, w: np.ndarray, value: float) -> float:
+        """The rounding error of the objective ``value`` at w, as
+        ``_numerators`` sums it: 8 eps times the size of its terms, the label
+        logits <W, Y Phi> and the log-partition sum plus penalty, which is
+        <W, Y Phi> - value. Near an optimum they can be many times |value|."""
+        labelled = float(np.vdot(w, self.label_phi))
+        return _ROUNDING * (abs(labelled) + abs(labelled - value))
+
     def value_grad_probs(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """One pass computing the objective, its standardized-space gradient
         (Y - P) Phi - W Q (A, p+1), and the (A, N) active-category
@@ -374,14 +409,41 @@ class _Objective:
         grad -= w @ self.penalty_quad
         return value, grad, probs
 
-    def curvature(self, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Negative Hessian at the point with these probabilities, applied to
-        v (A, p+1), without forming the Hessian: O(N A (p+1)) time."""
+    @staticmethod
+    def curvature_probs(probs: np.ndarray) -> np.ndarray:
+        """The float32 copy of the (A, N) probabilities that ``curvature``
+        takes, with entries below _PROB_FLOOR zeroed, so that none is
+        subnormal. Made once per Newton step."""
+        flushed = probs.astype(np.float32)
+        flushed *= probs >= _PROB_FLOOR
+        return flushed
+
+    def curvature(self, probs32: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Negative Hessian at the point with these probabilities (as made by
+        ``curvature_probs``), applied to v (A, p+1), without forming the
+        Hessian: O(N A (p+1)) time.
+
+        The data term Phi' (diag(P) - P P') Phi runs in float32. v is first
+        scaled by an exact power of two, 2**-e, so that max|v| lies in
+        [1/2, 1); this keeps every float32 operand and result in range
+        however large or small v is (at lambda = 0 CG directions can be
+        huge), and scaled entries below float32's smallest normal are zeroed.
+        The result is 2**e times the float64-cast data term plus the float64
+        penalty term, so curvature(P, 2**k v) == 2**k curvature(P, v)
+        exactly. The products carry float32 rounding, about 1e-7 relative;
+        they only steer CG, and the gradient and stopping test stay float64.
+        """
+        _, e = np.frexp(np.abs(v).max())
+        scaled = np.ldexp(v, -e)
+        v32 = scaled.astype(np.float32)
+        v32 *= np.abs(scaled) >= _TINY32
         # Per row (a column here), (diag(P) - P P') u = P * (u - P'u), in place.
-        u = v @ self.phi_t
-        u -= np.einsum("ij,ij->j", probs, u)
-        u *= probs
-        return u @ self.phi_t.T + v @ self.penalty_quad
+        u = v32 @ self._phi32_t
+        u -= np.einsum("ij,ij->j", probs32, u)
+        u *= probs32
+        product = scaled @ self.penalty_quad
+        product += u @ self._phi32_t.T
+        return np.ldexp(product, e, out=product)
 
     def preconditioner(self, probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The inverse of each category's curvature-moment approximation at
@@ -444,13 +506,14 @@ def _newton_cg_direction(
     g_norm = float(np.linalg.norm(grad))
     forcing = min(0.5, np.sqrt(g_norm)) * g_norm
     precondition = objective.preconditioner(probs)
+    probs32 = objective.curvature_probs(probs)
     d = np.zeros_like(grad)
     r = grad.copy()
     z = precondition(r)
     s = z
     rz = float(np.vdot(r, z))
     for steps in range(1, grad.size + 1):  # grad.size >= 1
-        q = objective.curvature(probs, s)
+        q = objective.curvature(probs32, s)
         sq = float(np.vdot(s, q))
         if sq <= 0.0 or rz <= 0.0:
             # Flat direction (only reachable at lambda = 0): keep what CG
@@ -480,9 +543,10 @@ def _ascend(
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
     """Backtracking step halving from the full Newton step; accepts only a
     non-decreasing objective, except that the full step is also taken when f
-    falls by no more than rounding while the gradient max-norm falls. Near
-    the optimum an exact Newton step can change f by less than its rounding
-    error, and halving it would only end at a step that leaves f as it is.
+    falls by no more than its rounding error (``_Objective.rounding``) while
+    the gradient max-norm falls. Near the optimum an exact Newton step can
+    change f by less than its rounding error, and halving it would only end
+    at a step that leaves f as it is.
 
     Returns the new parameters with their objective, gradient and
     probabilities, or None when no step is accepted.
@@ -492,7 +556,7 @@ def _ascend(
     if np.isfinite(f1) and (
         f1 >= f0
         or (
-            f0 - f1 <= _ROUNDING * abs(f0)
+            f0 - f1 <= objective.rounding(w, f0)
             and objective.grad_norm_original(grad) < grad_norm0
         )
     ):

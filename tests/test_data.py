@@ -225,6 +225,19 @@ class TestLoadCsv:
             "1a4e3d2b92c4fd07c107183051467b9c70b636ea3ae24265a3be44910b85f58d"
         )
 
+    def test_rows_match_the_format_spec_rendering(self, tmp_path):
+        # write_csv renders each row with one %-format; every cell must come
+        # out as str.format's "{:.17g}" would write it
+        values = np.array([-0.0, 5e-324, np.finfo(np.float64).max, 1e16, 0.1, 1 / 3])
+        ds = Dataset(values[::-1].copy(), np.column_stack([values, -values]), ("a", "b"))
+        path = tmp_path / "w.csv"
+        write_csv(ds, path)
+        expected = "a,b,y\r\n" + "".join(
+            ",".join("{:.17g}".format(cell) for cell in row) + "\r\n"
+            for row in np.column_stack([ds.features, ds.responses]).tolist()
+        )
+        assert path.read_bytes() == expected.encode()
+
 
 _CELL_FORMS = (repr, "{:.17g}".format, "{:.3g}".format, "{:e}".format, " {} ".format)
 # float() reads the first three (to non-finite values), "1_000", the

@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ def _params_flat(model):
 def _model_from_flat(flat, k, p):
     grid = flat.reshape(k - 1, p + 1)
     return MlrModel(grid[:, 0], grid[:, 1:])
+
+
+def _leaf_dataset():
+    """A depth-5 tree's leaf allocation of its 1000 Friedman #1 rows: K = 32."""
+    ds = gen_friedman1(2000, 1.0, seed=23)
+    config = ForestConfig(
+        subsample_size=1000, features_per_split=10, max_depth=5, n_trees=1,
+        min_leaf=8, seed=6,
+    )
+    forest = fit_forest(ds, config)
+    tree = forest.trees[0]
+    features, labels = extract_leaf_dataset(tree, ds, rederive_subsamples(forest)[0])
+    return features, labels, tree.n_leaves
 
 
 class TestMultinomialPmf:
@@ -377,6 +391,24 @@ class TestFitMlr:
         assert result.converged
         assert result.grad_max_norm <= MlrFitConfig().gradient_tolerance
 
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2])
+    def test_tight_tolerance_holds_on_the_exact_gradient(self, lam):
+        # The CG products are float32, but the returned optimum must meet the
+        # tolerance on the float64 gradient, recomputed here by the public
+        # row-major function. At lambda = 0.01 the last Newton step landed at
+        # 1.02e-8; the full step then lowered f by 3.4e-12, more than 8 eps
+        # |f| but within the rounding of the terms f sums, and the fit halved
+        # its steps to nothing for 80 iterations.
+        features, labels, k = _leaf_dataset()
+        assert k >= 20
+        tolerance = 1e-8
+        result = fit_mlr(
+            features, labels, k, MlrFitConfig(l2_penalty=lam, gradient_tolerance=tolerance)
+        )
+        assert result.converged
+        gradient = penalized_gradient(result.model, features, labels, lam)
+        assert np.max(np.abs(gradient)) <= tolerance
+
     def test_binary_fit_matches_independent_logistic(self):
         # Independent oracle: Newton iteration on the sigmoid parameterization,
         # sharing no code with the package implementation.
@@ -562,9 +594,50 @@ class TestObjectiveOracle:
         _, _, _, objective, w = self._instance(lam)
         _, _, probs = objective.value_grad_probs(w)
         dense = self._negative_hessian(objective, w)
-        products = self._columns(lambda v: objective.curvature(probs, v), w.shape)
-        assert np.max(np.abs(products - dense)) <= 1e-6 * np.max(np.abs(dense))
-        np.testing.assert_allclose(products, products.T, rtol=0, atol=1e-12)
+        probs32 = objective.curvature_probs(probs)
+        products = self._columns(lambda v: objective.curvature(probs32, v), w.shape)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(products - dense)) <= 1e-6 * scale
+        # The products are float32, so the columns of the symmetric Hessian
+        # agree only to float32 rounding: at most 0.68 eps32 max|dense| over
+        # 200 random instances of this shape
+        symmetry = np.finfo(np.float32).eps * scale
+        np.testing.assert_allclose(products, products.T, rtol=0, atol=symmetry)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_curvature_scales_exactly_by_powers_of_two(self, lam, k):
+        # The direction is scaled to max|v| in [1/2, 1) before its float32
+        # cast, so a direction far outside float32's range neither overflows
+        # nor underflows, and the product scales by exactly 2**k.
+        _, _, _, objective, w = self._instance(lam)
+        _, _, probs = objective.value_grad_probs(w)
+        probs32 = objective.curvature_probs(probs)
+        v = np.random.default_rng(17).normal(size=w.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = objective.curvature(probs32, v)
+            scaled = objective.curvature(probs32, np.ldexp(v, k))
+        assert np.isfinite(scaled).all() and base.any()
+        np.testing.assert_array_equal(scaled, np.ldexp(base, k))
+
+    def test_float32_probabilities_hold_no_subnormal_at_the_optimum(self):
+        # At a fitted optimum about 1% of the leaf probabilities lie below
+        # float32's smallest normal; kept as subnormals they made every
+        # product touching them slow, and the float32 fit about 2x slower
+        # than a float64 one.
+        features, labels, k = _leaf_dataset()
+        result = fit_mlr(features, labels, k, MlrFitConfig())
+        active = np.flatnonzero(np.bincount(labels, minlength=k)[:-1])
+        probs = class_probability_matrix(result.model, features)[:, active].T
+        tiny = np.finfo(np.float32).tiny
+        assert np.count_nonzero(probs < tiny) > 0.005 * probs.size
+        probs32 = _Objective.curvature_probs(probs)
+        assert probs32.dtype == np.float32
+        assert not np.any((probs32 != 0.0) & (probs32 < tiny))
+        kept = probs >= 1e-20
+        np.testing.assert_array_equal(probs32[kept], probs[kept].astype(np.float32))
+        assert not probs32[~kept].any()
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_preconditioner_matches_hessian_blocks(self, lam):
