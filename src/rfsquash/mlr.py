@@ -151,10 +151,8 @@ class MlrFitConfig:
 class MlrFitResult:
     """A fitted model plus how the optimizer stopped.
 
-    ``optimizer_used`` is "newton" for every fitted model and "none" when no
-    category but the base has data, so there is nothing to fit. ``cg_steps``
-    counts the Hessian-vector products over all Newton iterations (0 for
-    "none").
+    ``optimizer_used`` is "newton" for every fit. ``cg_steps`` counts the
+    Hessian-vector products over all Newton iterations.
     """
 
     model: MlrModel
@@ -337,9 +335,26 @@ class _Objective:
         self.lam = l2_penalty
         self.n, self.p = x.shape
 
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale[scale == 0.0] = 1.0
+        # T maps standardized params [a', b'] to original [a, b] per category.
+        # Features beyond about 1e154 overflow the scale, and spreads below
+        # about 1e-154 the penalty's T'T; neither leaves a finite objective.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            scale = x.std(axis=0)
+            scale[scale == 0.0] = 1.0
+            t = np.zeros((self.p + 1, self.p + 1))
+            t[0, 0] = 1.0
+            t[0, 1:] = -mean / scale
+            t[1:, 1:] = np.diag(1.0 / scale)
+            quad = t.T @ t
+        if not (np.isfinite(scale).all() and np.isfinite(quad).all()):
+            raise NumericError(
+                "features too large or too narrowly spread to standardize"
+            )
+        self.t = t
+        self.t_inv = np.linalg.inv(t)
+        self.penalty_quad = l2_penalty * quad
+
         # [1, z, z**2]' (2p+1, N): one GEMM with it gives a leaf's curvature
         # moments, and its first p+1 rows are Phi'
         self._basis_t = np.empty((2 * self.p + 1, self.n))
@@ -350,15 +365,6 @@ class _Objective:
         # Standardized columns have sum z**2 = N, so |z| <= sqrt(N) and the
         # float32 copy of Phi' that curvature products use cannot overflow
         self._phi32_t = self.phi_t.astype(np.float32)
-
-        # T maps standardized params [a', b'] to original [a, b] per category
-        t = np.zeros((self.p + 1, self.p + 1))
-        t[0, 0] = 1.0
-        t[0, 1:] = -mean / scale
-        t[1:, 1:] = np.diag(1.0 / scale)
-        self.t = t
-        self.t_inv = np.linalg.inv(t)
-        self.penalty_quad = l2_penalty * (t.T @ t)
 
         self.one_hot = (labels == active[:, None]).astype(np.float64)  # Y (A, N)
         self.label_phi = self.one_hot @ self.phi_t.T
@@ -381,8 +387,7 @@ class _Objective:
         """The objective, the active softmax numerators exp(z - top) (A, N)
         and their denominators (N,), top being each row's largest logit."""
         e = w @ self.phi_t
-        top = e.max(axis=0)
-        np.maximum(top, 0.0, out=top)  # the K - A zero logits
+        top = e.max(axis=0, initial=0.0)  # initial: the K - A zero logits
         e -= top
         np.exp(e, out=e)
         denom = e.sum(axis=0)
@@ -489,7 +494,7 @@ class _Objective:
         standardization map, so its gradient is the original gradient pushed
         through the transpose of that map; inverting recovers it exactly.
         """
-        return float(np.abs(grad_std @ self.t_inv).max())
+        return float(np.abs(grad_std @ self.t_inv).max(initial=0.0))
 
 
 def _newton_cg_direction(
@@ -551,21 +556,18 @@ def _ascend(
     Returns the new parameters with their objective, gradient and
     probabilities, or None when no step is accepted.
     """
-    candidate = w + direction
-    f1, grad, probs = objective.value_grad_probs(candidate)
-    if np.isfinite(f1) and (
-        f1 >= f0
-        or (
-            f0 - f1 <= objective.rounding(w, f0)
-            and objective.grad_norm_original(grad) < grad_norm0
-        )
-    ):
-        return candidate, f1, grad, probs
-    step = 0.5
-    for _ in range(_MAX_HALVINGS - 1):
+    step = 1.0
+    for _ in range(_MAX_HALVINGS):
         candidate = w + step * direction
         f1, grad, probs = objective.value_grad_probs(candidate)
-        if np.isfinite(f1) and f1 >= f0:
+        if np.isfinite(f1) and (
+            f1 >= f0
+            or (
+                step == 1.0
+                and f0 - f1 <= objective.rounding(w, f0)
+                and objective.grad_norm_original(grad) < grad_norm0
+            )
+        ):
             return candidate, f1, grad, probs
         step *= 0.5
     return None
@@ -605,10 +607,12 @@ def fit_mlr(
 
     Starts from all-zero coefficients. Categories absent from the labels are
     pinned at zero coefficients; they stay addressable at prediction time.
-    With one category (K = 1), or labels all in the base, there is nothing
-    to fit: the all-zero model comes back converged after 0 steps. Features
-    may have zero columns (p = 0); the model is then intercept-only. The fit
-    is deterministic: equal inputs give bit-equal models.
+    Every fit takes the same path: with one category (K = 1), or labels all
+    in the base, no category carries parameters, the gradient is empty, and
+    the all-zero model comes back converged after 0 steps. Features may have
+    zero columns (p = 0); the model is then intercept-only. Features that
+    cannot be standardized in float64 raise NumericError. The fit is
+    deterministic: equal inputs give bit-equal models.
 
     Returns
     -------
@@ -628,11 +632,6 @@ def fit_mlr(
         raise ValueError(f"{x.shape[0]} feature rows vs {labels.shape[0]} labels")
 
     active = np.flatnonzero(np.bincount(labels, minlength=n_categories)[:-1])
-    p = x.shape[1]
-    if active.size == 0:
-        model = MlrModel(np.zeros(n_categories - 1), np.zeros((n_categories - 1, p)))
-        return MlrFitResult(model, True, 0, 0.0, "none", 0)
-
     objective = _Objective(x, labels, n_categories, active, config.l2_penalty)
     w, converged, iterations, cg_steps, grad_norm = _fit(objective, config)
 

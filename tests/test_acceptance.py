@@ -477,7 +477,7 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
                 run(["train", train_spec, "--d", "3", "--m", "6", "--n", "200",
                      "--seed", "17", "--out", str(forest_path)]),
                 run(["squash", str(forest_path), train_spec, "--lambda", "1e-4",
-                     "--seed", "17", "--out", str(squash_path)]),
+                     "--out", str(squash_path)]),
                 run(["evaluate", str(squash_path), str(test_csv)]),
                 run(["predict", str(squash_path), str(test_csv), "--out",
                      str(pred_path)]),

@@ -151,6 +151,15 @@ class TestTrain:
         assert code == 1
         assert "subsample_size" in err
 
+    def test_min_leaf_past_the_subsample_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "f.rfsq"
+        code, _, err = run_cli(
+            capsys, "train", AXIS_SPEC, "--n", "10", "--min-leaf", "11", "--out", str(out)
+        )
+        assert code == 1
+        assert "min_leaf 11 exceeds subsample_size 10" in err
+        assert not out.exists()
+
     def test_csv_input(self, capsys, tmp_path):
         ds = gen_friedman1(120, 1.0, seed=4)
         csv = tmp_path / "train.csv"
@@ -174,7 +183,7 @@ class TestSquash:
         forest_path = self._train(capsys, tmp_path, d="0")
         surrogate_path = tmp_path / "s.rfsq"
         report = run_json(capsys, "squash", str(forest_path), AXIS_SPEC,
-                          "--out", str(surrogate_path), "--seed", "5")
+                          "--out", str(surrogate_path))
         assert 0 < report["compression_ratio"] < 1  # stumps always shrink
         forest = decode(forest_path.read_bytes())
         sf = decode(surrogate_path.read_bytes())
@@ -188,7 +197,7 @@ class TestSquash:
         forest_path = self._train(capsys, tmp_path, d="2", m="3")
         surrogate_path = tmp_path / "s.rfsq"
         report = run_json(capsys, "squash", str(forest_path), AXIS_SPEC,
-                          "--out", str(surrogate_path), "--seed", "5")
+                          "--out", str(surrogate_path))
         forest = decode(forest_path.read_bytes())
         sf = decode(surrogate_path.read_bytes())
         expected = measure_size(sf, "f64") / measure_size(forest, "f64")
@@ -200,9 +209,9 @@ class TestSquash:
         forest_path = self._train(capsys, tmp_path, d="1", m="2")
         arg_path, exp_path = tmp_path / "a.rfsq", tmp_path / "e.rfsq"
         run_json(capsys, "squash", str(forest_path), AXIS_SPEC, "--mode", "argmax",
-                 "--out", str(arg_path), "--seed", "5")
+                 "--out", str(arg_path))
         run_json(capsys, "squash", str(forest_path), AXIS_SPEC, "--mode",
-                 "expectation", "--out", str(exp_path), "--seed", "5")
+                 "expectation", "--out", str(exp_path))
         a, e = arg_path.read_bytes(), exp_path.read_bytes()
         assert len(a) == len(e)
         body_diffs = [
@@ -247,11 +256,30 @@ class TestSquash:
         assert code == 2
         assert "fingerprint" in err
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_features_past_the_standardization_range_exit_3(self, capsys, tmp_path, scale):
+        # 1e155 overflows x1's spread and 1e-160 the penalty's T'T; the one
+        # line on stderr holds no numpy RuntimeWarning
+        ds = gen_friedman1(200, 1.0, seed=4)
+        features = ds.features.copy()
+        features[:, 0] *= scale
+        csv = tmp_path / "train.csv"
+        write_csv(Dataset(ds.responses, features), csv)
+        forest_path = tmp_path / "f.rfsq"
+        run_json(capsys, "train", str(csv), "--d", "2", "--m", "2", "--out", str(forest_path))
+        code, out, err = run_cli(
+            capsys, "squash", str(forest_path), str(csv), "--out", str(tmp_path / "s.rfsq")
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "numeric error: features too large or too narrowly spread to standardize"
+        ]
+
     def test_surrogate_file_rejected_as_input(self, capsys, tmp_path):
         forest_path = self._train(capsys, tmp_path)
         s1 = tmp_path / "s1.rfsq"
-        run_json(capsys, "squash", str(forest_path), AXIS_SPEC, "--out", str(s1),
-                 "--seed", "5")
+        run_json(capsys, "squash", str(forest_path), AXIS_SPEC, "--out", str(s1))
         code, _, err = run_cli(
             capsys, "squash", str(s1), AXIS_SPEC, "--out", str(tmp_path / "s2.rfsq")
         )
@@ -816,6 +844,25 @@ class TestUsage:
         assert ("usage: rfsquash" in result.stdout) == (code == 0)
         assert ("invalid choice: 'bogus'" in result.stderr) == (code == 1)
 
+    @pytest.mark.parametrize("command", ["squash", "predict", "evaluate"])
+    def test_commands_that_draw_nothing_reject_seed(self, capsys, tmp_path, command):
+        # squash re-derives from the forest's stored seed; predict and
+        # evaluate draw nothing
+        out_flag = ["--out", str(tmp_path / "o")] if command == "squash" else []
+        code, out, err = run_cli(capsys, command, "f.rfsq", "rows.csv", *out_flag, "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 3" in err
+
+    def test_train_and_bench_take_seed(self, capsys, tmp_path):
+        report = run_json(capsys, "train", AXIS_SPEC, "--d", "1", "--m", "1",
+                          "--out", str(tmp_path / "f.rfsq"), "--seed", "3")
+        assert report["config"]["seed"] == 3
+        code, out, err = run_cli(capsys, "bench", AXIS_SPEC, "--d", "1", "--m", "1",
+                                 "--seed", "3")
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["seed"] == 3
+
     def test_train_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "train", AXIS_SPEC)
         assert code == 1
@@ -839,6 +886,21 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert message in err
+        assert not (tmp_path / "f.rfsq").exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("axis:n=10,thresholds=1:0.5,values=1;2,p=1", "p=1 too small"),
+            ("axis:n=0,thresholds=0:0.5,values=1;2", "n must be >= 1"),
+            ("axis:n=10,thresholds=-1:0.5,values=1;2", "must be non-negative"),
+        ],
+    )
+    def test_axis_values_the_generator_refuses_exit_1(self, capsys, tmp_path, spec, message):
+        code, out, err = run_cli(capsys, "train", spec, "--out", str(tmp_path / "f.rfsq"))
+        assert code == 1
+        assert out == ""
+        assert "bad axis spec" in err and message in err
         assert not (tmp_path / "f.rfsq").exists()
 
     @pytest.mark.parametrize(

@@ -210,6 +210,13 @@ class TestSizeFormulas:
         a = _manual_surrogate(k, p)
         assert measure_size(a, "f64") == measure_size(_manual_surrogate(k, p), "f64")
 
+    def test_measure_size_rejects_a_bad_width_and_a_non_model(self):
+        sf = _manual_surrogate(3, 2)
+        with pytest.raises(ValueError, match="float_width"):
+            measure_size(sf, "f16")
+        with pytest.raises(TypeError, match="cannot measure MlrModel"):
+            measure_size(sf.surrogates[0].model, "f64")
+
     def test_empty_ensemble_unrepresentable(self):
         with pytest.raises(ValueError, match="n_trees"):
             ForestConfig(subsample_size=1, features_per_split=1, max_depth=0, n_trees=0)

@@ -39,6 +39,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros(0), np.zeros((0, 1)))
 
+    def test_rejects_wrong_shapes_and_name_counts(self):
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            Dataset(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="responses must be 1-D"):
+            Dataset(np.zeros((3, 1)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="1 feature names for 2 columns"):
+            Dataset(np.zeros(3), np.zeros((3, 2)), ("a",))
+
     def test_arrays_are_immutable(self):
         ds = gen_friedman1(5, 0.0, seed=0)
         with pytest.raises(ValueError):

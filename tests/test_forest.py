@@ -511,6 +511,25 @@ class TestTreeStructure:
         with pytest.raises(ValueError, match=match):
             self._tree(**{**self.VALID, **change})
 
+    def test_tree_needs_a_leaf_and_k_minus_one_splits(self):
+        none = np.zeros(0, dtype=np.int32)
+        with pytest.raises(ValueError, match="at least one leaf"):
+            DecisionTree(
+                split_features=none, split_thresholds=np.zeros(0), children_left=none,
+                children_right=none, leaf_values=np.zeros(0), leaf_counts=none,
+            )
+        with pytest.raises(ValueError, match="3 internal nodes for 3 leaves"):
+            self._tree(**{**self.VALID, "features": [0, 0, 0]})
+
+    def test_forest_rejects_the_wrong_tree_count(self):
+        tree = self._tree(**self.VALID)
+        config = ForestConfig(subsample_size=3, features_per_split=1, max_depth=2, n_trees=2)
+        with pytest.raises(ValueError, match="1 trees for config.n_trees=2"):
+            Forest(
+                trees=(tree,), config=config, dataset_rows=3,
+                dataset_fingerprint=0, n_features=1,
+            )
+
     def test_forest_rejects_leaf_counts_off_the_subsample(self):
         # leaves partition the subsample: counts summing to 3 of 5 rows used
         # to be accepted

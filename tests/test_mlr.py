@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from rfsquash import mlr
 from rfsquash.data import Dataset, gen_friedman1
 from rfsquash.errors import NumericError
 from rfsquash.forest import ForestConfig, fit_forest, rederive_subsamples
@@ -240,7 +241,7 @@ class TestFitMlr:
         result = fit_mlr(x, np.zeros(6, dtype=int), 1, MlrFitConfig())
         assert result.model.intercepts.shape == (0,)
         assert result.model.coefficients.shape == (0, 3)
-        assert result.converged and result.optimizer_used == "none"
+        assert result.converged and result.optimizer_used == "newton"
         assert (result.iterations, result.cg_steps) == (0, 0)
         np.testing.assert_array_equal(class_probability_matrix(result.model, x), 1.0)
         assert predict_class(result.model, x[0]) == 0
@@ -535,6 +536,71 @@ class TestFitMlr:
             MlrFitConfig(gradient_tolerance=0.0)
         with pytest.raises(TypeError):  # one optimizer; there is nothing to pick
             MlrFitConfig(optimizer="sgd")
+
+    @pytest.mark.parametrize("column", [[1e155, 0.0], [1e300, -1e300], [0.0, 1e-160]])
+    def test_features_past_the_standardization_range_raise(self, column):
+        # 1e155 and +-1e300 overflow the column's spread; a spread of 5e-161
+        # overflows the penalty's T'T through (1 / spread)**2
+        x = np.array(column)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="standardize"):
+                fit_mlr(x, np.array([0, 1]), 2, MlrFitConfig())
+
+    def test_malformed_inputs_are_rejected(self):
+        x = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="1-D"):
+            fit_mlr(x, np.zeros((3, 1), dtype=int), 2, MlrFitConfig())
+        with pytest.raises(ValueError, match="integers"):
+            fit_mlr(x, np.array([0.0, 0.5, 1.0]), 2, MlrFitConfig())
+        with pytest.raises(ValueError, match="3 feature rows vs 2 labels"):
+            fit_mlr(x, np.array([0, 1]), 2, MlrFitConfig())
+        model = MlrModel(np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="3 feature rows vs 2 labels"):
+            penalized_log_likelihood(model, x, np.array([0, 1]), 0.0)
+
+    def test_model_shapes_are_checked(self):
+        with pytest.raises(ValueError, match=r"\(K-1,\)"):
+            MlrModel(np.zeros((1, 1)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="2 intercepts vs 1 coefficient rows"):
+            MlrModel(np.zeros(2), np.zeros((1, 2)))
+
+
+class TestLineSearch:
+    @staticmethod
+    def _data():
+        x = np.random.default_rng(8).normal(size=(80, 2))
+        return x, (x[:, 0] > 0).astype(int) + (x[:, 1] > 0)
+
+    def test_a_descent_direction_is_refused_after_every_halving(self, monkeypatch):
+        objective = _Objective(*self._data(), 3, np.array([0, 1]), 1e-3)
+        w = np.zeros((2, 3))
+        f, grad, probs = objective.value_grad_probs(w)
+        direction, _ = mlr._newton_cg_direction(objective, probs, grad, 1e-4)
+        assert mlr._ascend(objective, w, direction, f, 1.0) is not None
+        tries = []
+        evaluate = objective.value_grad_probs
+        monkeypatch.setattr(
+            objective, "value_grad_probs", lambda v: tries.append(v) or evaluate(v)
+        )
+        assert mlr._ascend(objective, w, -direction, f, np.inf) is None
+        assert len(tries) == mlr._MAX_HALVINGS
+        np.testing.assert_array_equal(tries[0], -direction)
+        np.testing.assert_array_equal(tries[-1], 0.5 ** (mlr._MAX_HALVINGS - 1) * -direction)
+
+    def test_fit_stops_unconverged_when_no_step_is_taken(self, monkeypatch):
+        newton = mlr._newton_cg_direction
+
+        def backwards(*args):
+            direction, steps = newton(*args)
+            return -direction, steps
+
+        monkeypatch.setattr(mlr, "_newton_cg_direction", backwards)
+        result = fit_mlr(*self._data(), 3, MlrFitConfig(max_iterations=5))
+        assert not result.converged
+        assert result.iterations == 1 and result.cg_steps >= 1
+        np.testing.assert_array_equal(result.model.intercepts, 0.0)
+        np.testing.assert_array_equal(result.model.coefficients, 0.0)
 
 
 class TestObjectiveOracle:

@@ -453,6 +453,10 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match="model has 2 categories for 1 leaf values"):
             TreeSurrogate(model=model, leaf_values=np.array([1.0]))
 
+    def test_surrogate_needs_a_leaf_value(self):
+        with pytest.raises(ValueError, match="at least one leaf value"):
+            TreeSurrogate(model=_one_category(2), leaf_values=np.zeros(0))
+
     def test_forest_rejects_the_wrong_count_and_widths(self):
         leaf = TreeSurrogate(model=_one_category(2), leaf_values=np.array([1.0]))
         with pytest.raises(ValueError, match="1 surrogates for config.n_trees=2"):
