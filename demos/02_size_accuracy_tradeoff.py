@@ -11,7 +11,7 @@ frontier, so the claim "squashing trades size for accuracy better than
 shrinking parameters" is evaluated, not assumed. Byte counts come from the
 codec's closed-form formulas and equal the real encoded file sizes.
 
-Run:  python demos/02_size_accuracy_tradeoff.py   (about a minute)
+Run:  python demos/02_size_accuracy_tradeoff.py   (a few seconds)
 """
 
 import numpy as np

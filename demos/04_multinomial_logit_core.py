@@ -49,8 +49,8 @@ score = x[:, 0] + 0.5 * x[:, 1] + rng.normal(scale=0.4, size=n)
 labels = np.digitize(score, [-0.8, 0.8])
 
 result = fit_mlr(x, labels, 3, MlrFitConfig(l2_penalty=1e-3, gradient_tolerance=1e-8))
-print(f"\nfit: converged={result.converged} after {result.iterations} "
-      f"{result.optimizer_used} iterations, grad max-norm {result.grad_max_norm:.1e}")
+print(f"\nfit: converged={result.converged} after {result.iterations} Newton "
+      f"steps ({result.cg_steps} CG steps), grad max-norm {result.grad_max_norm:.1e}")
 
 accuracy = np.mean([predict_class(result.model, row) for row in x] == labels)
 print(f"training accuracy: {accuracy:.1%}")

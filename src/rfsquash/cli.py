@@ -197,7 +197,7 @@ def _fit_config(args: argparse.Namespace, l2: float) -> MlrFitConfig:
 def _warn_unconverged(sf: SurrogateForest, where: str = "") -> None:
     """One stderr line naming the trees whose surrogate fit stopped before
     reaching ``--tol``; the model is still valid, so the exit code stays 0."""
-    trees = [m for m, s in enumerate(sf.surrogates) if not s.converged]
+    trees = [m for m, s in enumerate(sf.surrogates) if not s.fit.converged]
     if trees:
         print(
             f"warning: {where}{len(trees)} of {sf.n_trees} surrogate fits did not "
@@ -328,7 +328,7 @@ def cmd_squash(args: argparse.Namespace) -> int:
     _write_out(args.out, blob)
     bytes_before = codec.measure_size(forest, args.float)
     bytes_after = codec.measure_size(sf, args.float)
-    converged = [s.converged for s in sf.surrogates]
+    fits = [s.fit for s in sf.surrogates]
     _emit(
         {
             "report_version": REPORT_VERSION,
@@ -342,10 +342,10 @@ def cmd_squash(args: argparse.Namespace) -> int:
             "bytes_after": bytes_after,
             "compression_ratio": bytes_after / bytes_before,
             "leaf_count_histogram": _leaf_histogram(sf),
-            "surrogates_converged": sum(converged),
-            "surrogates_total": len(converged),
-            "newton_steps": sum(s.newton_steps for s in sf.surrogates),
-            "cg_steps": sum(s.cg_steps for s in sf.surrogates),
+            "surrogates_converged": sum(f.converged for f in fits),
+            "surrogates_total": len(fits),
+            "newton_steps": sum(f.iterations for f in fits),
+            "cg_steps": sum(f.cg_steps for f in fits),
             "timing": {"read_seconds": read_seconds, "squash_seconds": squash_seconds},
         },
         args.format,
@@ -502,7 +502,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "bytes": sf_bytes,
                     "compression_ratio": sf_bytes / forest_bytes,
                     "converged_fraction": float(
-                        np.mean([s.converged for s in sf.surrogates])
+                        np.mean([s.fit.converged for s in sf.surrogates])
                     ),
                     "timing": {
                         "squash_seconds": squash_seconds,
@@ -572,27 +572,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_forest_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for the trees, generator specs and bench's split")
+    parser.add_argument("--seed", type=int, default=ForestConfig.seed, help="RNG seed for the trees, generator specs and bench's split")
     parser.add_argument("--n", type=int, default=None, help="subsample size per tree (default: all rows)")
     parser.add_argument("--k", type=int, default=None, help="features considered per split (default: all)")
-    parser.add_argument("--min-leaf", type=int, default=1, dest="min_leaf", help="minimum rows per leaf")
+    parser.add_argument("--min-leaf", type=int, default=ForestConfig.min_leaf, dest="min_leaf", help="minimum rows per leaf")
     parser.add_argument(
         "--leaf-summary",
         choices=LEAF_SUMMARIES,
-        default="mean",
+        default=ForestConfig.leaf_summary,
         dest="leaf_summary",
         help="leaf statistic",
     )
 
 
 def _add_mlr_flags(parser: argparse.ArgumentParser, multi: bool = False) -> None:
-    lam_default = "1e-3" if multi else 1e-3
-    lam_type = str if multi else float
-    parser.add_argument("--lambda", type=lam_type, default=lam_default, dest="l2",
+    lam_default = MlrFitConfig.l2_penalty
+    parser.add_argument("--lambda", type=str if multi else float, dest="l2",
+                        default=str(lam_default) if multi else lam_default,
                         help="L2 penalty on surrogate coefficients")
-    parser.add_argument("--max-iter", type=int, default=100, dest="max_iter",
-                        help="optimizer iteration cap")
-    parser.add_argument("--tol", type=float, default=1e-4,
+    parser.add_argument("--max-iter", type=int, default=MlrFitConfig.max_iterations,
+                        dest="max_iter", help="optimizer iteration cap")
+    parser.add_argument("--tol", type=float, default=MlrFitConfig.gradient_tolerance,
                         help="gradient max-norm stopping tolerance")
 
 

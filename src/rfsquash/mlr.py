@@ -149,10 +149,11 @@ class MlrFitConfig:
 
 @dataclass(frozen=True)
 class MlrFitResult:
-    """A fitted model plus how the optimizer stopped.
-
-    ``optimizer_used`` is "newton" for every fit. ``cg_steps`` counts the
-    Hessian-vector products over all Newton iterations.
+    """A fitted model plus how the optimizer stopped: ``iterations`` Newton
+    steps, ``cg_steps`` Hessian-vector products over all of them, and the
+    final max-norm ``grad_max_norm`` of the original-scale penalized
+    gradient. ``optimizer_used`` is "newton" for every fit. A squashed
+    :class:`~rfsquash.surrogate.TreeSurrogate` keeps this record as ``fit``.
     """
 
     model: MlrModel

@@ -57,7 +57,7 @@ order for every block size, one row included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -67,7 +67,7 @@ from . import _util
 from .data import Dataset
 from .errors import DataError, NumericError
 from .forest import DecisionTree, Forest, ForestConfig, rederive_subsamples, traverse_batch
-from .mlr import NAN_LOGIT, MlrFitConfig, MlrModel, _softmax, fit_mlr
+from .mlr import NAN_LOGIT, MlrFitConfig, MlrFitResult, MlrModel, _softmax, fit_mlr
 
 PREDICTION_MODES = ("argmax", "expectation")
 
@@ -85,16 +85,14 @@ class TreeSurrogate:
 
     The model has one category per leaf. A single-leaf tree's has one
     category and no parameters, and routes every row to that leaf.
-    ``converged``, ``newton_steps`` and ``cg_steps`` are training-time
-    diagnostics copied from the fit (0 steps when nothing was fitted) and
-    are not serialized.
+    ``fit`` is the record :func:`fit_mlr` returned on the tree's split
+    features, so its model has only their coefficient columns. It is neither
+    compared nor serialized: a decoded or hand-built surrogate has none.
     """
 
     model: MlrModel
     leaf_values: np.ndarray
-    converged: bool = True
-    newton_steps: int = 0
-    cg_steps: int = 0
+    fit: Optional[MlrFitResult] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         leaf_values = np.ascontiguousarray(self.leaf_values, dtype=np.float64)
@@ -338,7 +336,8 @@ def fit_surrogate(
     size and format do not change. Leaf values are copied verbatim; only the
     routing function changes. A single-leaf tree splits on no feature and
     takes the same path: its rows are checked like any other's, and its
-    surrogate gets the one-category model, with nothing to fit.
+    surrogate gets the one-category model, with nothing to fit. Either way
+    the surrogate keeps the split-feature fit's record as ``fit``.
     """
     features, labels = extract_leaf_dataset(tree, dataset, rows)
     used = np.unique(tree.split_features)
@@ -348,9 +347,7 @@ def fit_surrogate(
     return TreeSurrogate(
         model=MlrModel(result.model.intercepts, coefficients),
         leaf_values=tree.leaf_values.copy(),
-        converged=result.converged,
-        newton_steps=result.iterations,
-        cg_steps=result.cg_steps,
+        fit=result,
     )
 
 

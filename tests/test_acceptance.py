@@ -330,7 +330,7 @@ def test_criterion_6_size_accuracy_tradeoff():
             config = ForestConfig(max_depth=depth, **PILOT_FOREST)
             forest = fit_forest(train, config)
             squashed = squash_forest(forest, train, PILOT_FIT)
-            assert all(s.converged for s in squashed.surrogates)
+            assert all(s.fit.converged for s in squashed.surrogates)
             exp = dataclasses.replace(squashed, prediction_mode="expectation")
             arg = dataclasses.replace(squashed, prediction_mode="argmax")
             cell = {

@@ -863,6 +863,33 @@ class TestUsage:
         assert code == 0, err
         assert json.loads(out.splitlines()[0])["seed"] == 3
 
+    def test_flag_defaults_are_the_config_defaults(self, capsys, tmp_path, monkeypatch):
+        forest_path = tmp_path / "f.rfsq"
+        train = run_json(capsys, "train", AXIS_SPEC, "--d", "1", "--m", "1",
+                         "--out", str(forest_path))
+        assert (train["config"]["min_leaf"], train["config"]["leaf_summary"],
+                train["config"]["seed"]) == (
+            ForestConfig.min_leaf, ForestConfig.leaf_summary, ForestConfig.seed
+        )
+        fit = MlrFitConfig()
+        squash = run_json(capsys, "squash", str(forest_path), AXIS_SPEC,
+                          "--out", str(tmp_path / "s.rfsq"))
+        assert (squash["fit"]["lambda"], squash["fit"]["max_iter"], squash["fit"]["tol"]) == (
+            fit.l2_penalty, fit.max_iterations, fit.gradient_tolerance
+        )
+        configs = []
+
+        def spy(forest, dataset, config):
+            configs.append(config)
+            return squash_forest(forest, dataset, config)
+
+        monkeypatch.setattr(cli, "squash_forest", spy)
+        code, out, err = run_cli(capsys, "bench", AXIS_SPEC, "--d", "1", "--m", "1")
+        assert code == 0, err
+        assert configs == [fit]
+        rows = [json.loads(line) for line in out.splitlines()[1:]]
+        assert [r["cell"]["lambda"] for r in rows] == [fit.l2_penalty] * 2
+
     def test_train_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "train", AXIS_SPEC)
         assert code == 1

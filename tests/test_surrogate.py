@@ -122,7 +122,8 @@ class TestFitSurrogate:
         tree, rows = _fitted_tree(ds, depth=0)
         surrogate = fit_surrogate(tree, ds, rows, MlrFitConfig())
         assert surrogate.model.n_categories == 1 and surrogate.model.intercepts.size == 0
-        assert surrogate.converged and surrogate.newton_steps == surrogate.cg_steps == 0
+        fit = surrogate.fit
+        assert fit.converged and fit.iterations == fit.cg_steps == 0
         with pytest.raises(DataError, match="fitted on"):  # its rows are checked too
             fit_surrogate(tree, ds, rows[:-1], MlrFitConfig())
         value = tree.leaf_values[0]
@@ -175,14 +176,18 @@ class TestFitSurrogate:
         features, labels = extract_leaf_dataset(tree, ds, rows)
         used = np.unique(tree.split_features)
         result = fit_mlr(features[:, used], labels, tree.n_leaves, MlrFitConfig())
-        assert surrogate.converged == result.converged
-        assert (surrogate.newton_steps, surrogate.cg_steps) == (
-            result.iterations, result.cg_steps
+        fit = surrogate.fit
+        assert (fit.converged, fit.iterations, fit.cg_steps, fit.grad_max_norm) == (
+            result.converged, result.iterations, result.cg_steps, result.grad_max_norm
         )
-        assert 0 < surrogate.newton_steps <= surrogate.cg_steps
+        assert fit.optimizer_used == result.optimizer_used
+        # the record keeps the split-feature model, not the scattered one
+        np.testing.assert_array_equal(fit.model.intercepts, result.model.intercepts)
+        np.testing.assert_array_equal(fit.model.coefficients, result.model.coefficients)
+        assert 0 < fit.iterations <= fit.cg_steps
         stump, stump_rows = _fitted_tree(ds, depth=0)
-        single = fit_surrogate(stump, ds, stump_rows, MlrFitConfig())
-        assert (single.newton_steps, single.cg_steps) == (0, 0)
+        single = fit_surrogate(stump, ds, stump_rows, MlrFitConfig()).fit
+        assert (single.iterations, single.cg_steps) == (0, 0)
 
     def test_fit_is_the_split_feature_fit_scattered(self):
         # k < p, so the tree leaves some features unused
@@ -214,7 +219,7 @@ class TestFitSurrogate:
         assert widths == [(40, 0)]
         assert single.model.n_categories == 1
         assert single.model.coefficients.shape == (0, ds.n_features)
-        assert single.converged and (single.newton_steps, single.cg_steps) == (0, 0)
+        assert single.fit.converged and (single.fit.iterations, single.fit.cg_steps) == (0, 0)
 
     def test_median_summary_rides_through_squash(self):
         ds = gen_friedman1(200, 1.0, seed=21)
@@ -382,7 +387,8 @@ class TestSquashForest:
             pooled = SurrogateForest(tuple(fits), forest.config, "expectation", ds.n_features)
         serial = squash_forest(forest, ds, config)
         assert encode(pooled, "f64") == encode(serial, "f64")
-        steps = [[(s.newton_steps, s.cg_steps) for s in sf.surrogates] for sf in (pooled, serial)]
+        steps = [[(s.fit.iterations, s.fit.cg_steps) for s in sf.surrogates]
+                 for sf in (pooled, serial)]
         assert steps[0] == steps[1]
 
     def test_unsplit_features_have_zero_coefficients(self):
@@ -422,11 +428,14 @@ class TestSquashForest:
 
     def test_fit_diagnostics_are_not_serialized(self):
         ds, forest = self._forest(m=2)
-        sf = squash_forest(forest, ds, MlrFitConfig(max_iterations=1))
-        assert all(not s.converged and s.newton_steps == 1 for s in sf.surrogates)
+        config = MlrFitConfig(max_iterations=1)
+        sf = squash_forest(forest, ds, config)
+        for s in sf.surrogates:
+            assert not s.fit.converged and s.fit.iterations == 1
+            assert s.fit.grad_max_norm > config.gradient_tolerance
         blob = encode(sf)
-        for s in decode(blob).surrogates:
-            assert (s.converged, s.newton_steps, s.cg_steps) == (True, 0, 0)
+        # a decoded file claims no fit it never recorded
+        assert all(s.fit is None for s in decode(blob).surrogates)
         assert encode(decode(blob)) == blob
 
     def test_prediction_mode_recorded(self):
