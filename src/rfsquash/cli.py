@@ -1,12 +1,12 @@
 """Command-line driver: train, squash, predict, evaluate, and bench.
 
-Every command is deterministic: train and bench draw from --seed, squash
-re-derives from the forest's stored seed, and predict and evaluate draw
-nothing. Reports embed the resolved configuration and are emitted as JSON
-(default) or aligned text. Wall-clock timings live under a separate
-"timing" key so consumers can ignore the only non-reproducible part of a
-report; train, squash and evaluate time their read stage (data input plus
-model decode) as "read_seconds".
+Every command is deterministic for a fixed BLAS library and thread count:
+train and bench draw from --seed, squash re-derives from the forest's stored
+seed, and predict and evaluate draw nothing. Reports embed the resolved
+configuration and are emitted as JSON (default) or aligned text. Wall-clock
+timings live under a separate "timing" key so consumers can ignore the only
+non-reproducible part of a report; train, squash and evaluate time their read
+stage (data input plus model decode) as "read_seconds".
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -477,10 +477,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             sf, squash_seconds = squashed[skey]
             sf = dataclasses.replace(sf, prediction_mode=mode)
 
-            forest_pred, forest_per_1k = _timed_predictions(forest, test.features)
-            sf_pred, sf_per_1k = _timed_predictions(sf, test.features)
-            forest_bytes = codec.measure_size(forest, width)
-            sf_bytes = codec.measure_size(sf, width)
+            # score and time each model as decoded from its file at this width
+            forest_blob, sf_blob = codec.encode(forest, width), codec.encode(sf, width)
+            forest_pred, forest_per_1k = _timed_predictions(
+                codec.decode(forest_blob), test.features
+            )
+            sf_pred, sf_per_1k = _timed_predictions(codec.decode(sf_blob), test.features)
+            forest_bytes, sf_bytes = len(forest_blob), len(sf_blob)
 
             rows.append(
                 {

@@ -99,16 +99,15 @@ class ForestConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit int, got {self.seed}")
 
-    def validate_against(self, dataset: Dataset) -> None:
-        if self.subsample_size > dataset.n_rows:
+    def validate_against(self, n_rows: int, n_features: int) -> None:
+        if self.subsample_size > n_rows:
             raise ValueError(
-                f"subsample_size {self.subsample_size} exceeds dataset rows "
-                f"{dataset.n_rows}"
+                f"subsample_size {self.subsample_size} exceeds dataset rows {n_rows}"
             )
-        if self.features_per_split > dataset.n_features:
+        if self.features_per_split > n_features:
             raise ValueError(
                 f"features_per_split {self.features_per_split} exceeds feature "
-                f"count {dataset.n_features}"
+                f"count {n_features}"
             )
         if self.min_leaf > self.subsample_size:
             raise ValueError(
@@ -198,9 +197,10 @@ class Forest:
 
     The rows each tree was fitted on are not stored: subsampling is a pure
     function of (config, dataset_rows), so :func:`rederive_subsamples`
-    recomputes them. Every split feature is below ``n_features``, every leaf
-    value and threshold is finite, and each tree's leaf counts sum to
-    ``config.subsample_size``.
+    recomputes them. The config passes ``validate_against`` on the recorded
+    row and feature counts, as in :func:`fit_forest`; every split feature is
+    below ``n_features``, every leaf value and threshold is finite, and each
+    tree's leaf counts sum to ``config.subsample_size``.
     """
 
     trees: tuple[DecisionTree, ...]
@@ -216,6 +216,7 @@ class Forest:
             )
         if self.n_features < 1:
             raise ValueError("forest must record a positive feature count")
+        self.config.validate_against(self.dataset_rows, self.n_features)
         top = np.concatenate([t.split_features for t in self.trees]).max(initial=0)
         if top >= self.n_features:
             raise ValueError(
@@ -255,12 +256,8 @@ class Forest:
         return _node_objects(self.trees)
 
 
-def subsample(dataset: Dataset, n: int, seed: int, tree_id: int) -> np.ndarray:
-    """Draw n distinct row indices without replacement, keyed on (seed, tree_id)."""
-    return subsample_indices(dataset.n_rows, n, seed, tree_id)
-
-
 def subsample_indices(n_rows: int, n: int, seed: int, tree_id: int) -> np.ndarray:
+    """Draw n distinct row indices without replacement, keyed on (seed, tree_id)."""
     if n > n_rows:
         raise ValueError(f"cannot draw {n} distinct rows from {n_rows}")
     rng = _util.rng_for(seed, tree_id, _util.SUBSAMPLE_STREAM)
@@ -448,10 +445,10 @@ def fit_forest(dataset: Dataset, config: ForestConfig) -> Forest:
     the interpreter lock, so worker threads only slowed it (2 vCPUs, two
     threads against one: 0.13 s against 0.10 s on the ``pilot_d8`` shape).
     """
-    config.validate_against(dataset)
+    config.validate_against(dataset.n_rows, dataset.n_features)
     trees = []
     for m in range(config.n_trees):
-        rows = subsample(dataset, config.subsample_size, config.seed, m)
+        rows = subsample_indices(dataset.n_rows, config.subsample_size, config.seed, m)
         tree_seed = _util.derive_seed(config.seed, m, _util.TREE_STREAM)
         trees.append(fit_tree(dataset, rows, config, tree_seed))
     return Forest(

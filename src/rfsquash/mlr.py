@@ -36,7 +36,10 @@ float64 ones), and each direction is scaled by an exact power of two into
 Features are standardized internally for conditioning; the penalty is applied
 to the original-scale parameters (pulled back through the standardization
 map), and coefficients are mapped back to the original scale before return,
-so the reported optimum maximizes exactly the objective documented above.
+so the reported optimum maximizes exactly the objective documented above over
+the categories present in the labels. An absent category is pinned at zero,
+where its gradient entries need not vanish; ``squash`` never meets this case,
+since every leaf holds at least ``min_leaf`` >= 1 of its tree's rows.
 """
 
 from __future__ import annotations
@@ -152,8 +155,10 @@ class MlrFitResult:
     """A fitted model plus how the optimizer stopped: ``iterations`` Newton
     steps, ``cg_steps`` Hessian-vector products over all of them, and the
     final max-norm ``grad_max_norm`` of the original-scale penalized
-    gradient. ``optimizer_used`` is "newton" for every fit. A squashed
-    :class:`~rfsquash.surrogate.TreeSurrogate` keeps this record as ``fit``.
+    gradient over the categories present in the labels (an absent one is
+    pinned at zero and not counted). ``optimizer_used`` is "newton" for
+    every fit. A squashed :class:`~rfsquash.surrogate.TreeSurrogate` keeps
+    this record as ``fit``.
     """
 
     model: MlrModel
@@ -574,30 +579,6 @@ def _ascend(
     return None
 
 
-def _fit(
-    objective: _Objective, config: MlrFitConfig
-) -> tuple[np.ndarray, bool, int, int, float]:
-    """Truncated Newton-CG ascent with step halving, from all-zero parameters.
-    Returns the parameters, whether they converged, the Newton iterations,
-    the CG steps and the final gradient max-norm."""
-    w = np.zeros((len(objective.active), objective.p + 1))
-    f, grad, probs = objective.value_grad_probs(w)
-    grad_norm = objective.grad_norm_original(grad)
-    iterations = cg_steps = 0
-    while grad_norm > config.gradient_tolerance and iterations < config.max_iterations:
-        direction, steps = _newton_cg_direction(
-            objective, probs, grad, config.gradient_tolerance
-        )
-        iterations += 1
-        cg_steps += steps
-        moved = _ascend(objective, w, direction, f, grad_norm)
-        if moved is None:
-            break
-        w, f, grad, probs = moved
-        grad_norm = objective.grad_norm_original(grad)
-    return w, grad_norm <= config.gradient_tolerance, iterations, cg_steps, grad_norm
-
-
 def fit_mlr(
     features: np.ndarray,
     labels: np.ndarray,
@@ -608,12 +589,16 @@ def fit_mlr(
 
     Starts from all-zero coefficients. Categories absent from the labels are
     pinned at zero coefficients; they stay addressable at prediction time.
+    The optimum, ``grad_max_norm`` and the convergence test cover only the
+    categories present: the gradient can be far from zero on an absent one
+    (``squash`` never fits one; every leaf holds >= ``min_leaf`` >= 1 rows).
     Every fit takes the same path: with one category (K = 1), or labels all
     in the base, no category carries parameters, the gradient is empty, and
     the all-zero model comes back converged after 0 steps. Features may have
     zero columns (p = 0); the model is then intercept-only. Features that
-    cannot be standardized in float64 raise NumericError. The fit is
-    deterministic: equal inputs give bit-equal models.
+    cannot be standardized in float64 raise NumericError. For a fixed BLAS
+    library and thread count the fit is deterministic: equal inputs give
+    bit-equal models.
 
     Returns
     -------
@@ -634,10 +619,25 @@ def fit_mlr(
 
     active = np.flatnonzero(np.bincount(labels, minlength=n_categories)[:-1])
     objective = _Objective(x, labels, n_categories, active, config.l2_penalty)
-    w, converged, iterations, cg_steps, grad_norm = _fit(objective, config)
+    # truncated Newton-CG ascent with step halving, from all-zero parameters
+    tol = config.gradient_tolerance
+    w = np.zeros((len(active), objective.p + 1))
+    f, grad, probs = objective.value_grad_probs(w)
+    grad_norm = objective.grad_norm_original(grad)
+    iterations = cg_steps = 0
+    while grad_norm > tol and iterations < config.max_iterations:
+        direction, steps = _newton_cg_direction(objective, probs, grad, tol)
+        iterations += 1
+        cg_steps += steps
+        moved = _ascend(objective, w, direction, f, grad_norm)
+        if moved is None:
+            break
+        w, f, grad, probs = moved
+        grad_norm = objective.grad_norm_original(grad)
 
     alpha, beta = objective.to_original(w)
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise NumericError("optimizer produced non-finite coefficients")
     model = MlrModel(alpha, beta)
+    converged = grad_norm <= tol
     return MlrFitResult(model, converged, iterations, grad_norm, "newton", cg_steps)

@@ -517,6 +517,43 @@ class TestEvaluateAndPredict:
         written = out_csv.read_bytes() if out_csv.exists() else out.encode()
         assert hashlib.sha256(written).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "field, at, value, rule",
+        [  # payload offsets of dataset_rows (after the config block and p), k, min_leaf
+            ("rows", 33, 60, "subsample_size 100 exceeds dataset rows 60"),
+            ("k", 4, 11, "features_per_split 11 exceeds feature count 10"),
+            ("min_leaf", 16, 101, "min_leaf 101 exceeds subsample_size 100"),
+        ],
+    )
+    def test_config_past_the_recorded_shape_exits_2(
+        self, capsys, tmp_path, field, at, value, rule
+    ):
+        # Such files used to decode: predict ran on all three, and squash
+        # stopped with a usage error on the first and ran on the others.
+        ds = gen_friedman1(120, 1.0, seed=4)
+        config = ForestConfig(
+            subsample_size=100, features_per_split=4, max_depth=2, n_trees=2, min_leaf=2
+        )
+        blob = bytearray(encode(fit_forest(ds, config), "f64"))
+        patch = struct.pack("<I", value)
+        if field == "rows":
+            # the file records its first 60 rows as its data, and they are
+            ds = Dataset(ds.responses[:60], ds.features[:60])
+            patch += struct.pack("<Q", ds.fingerprint())  # the fingerprint follows
+        blob[16 + at : 16 + at + len(patch)] = patch
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+        model_path = tmp_path / "m.rfsq"
+        model_path.write_bytes(bytes(blob))
+        data_csv = tmp_path / "data.csv"
+        write_csv(ds, data_csv)
+        for argv in (
+            ("predict", str(model_path), str(data_csv)),
+            ("squash", str(model_path), str(data_csv), "--out", str(tmp_path / "s.rfsq")),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines() == [f"data error: stored model is invalid: {rule}"]
+
     def test_leaf_counts_off_the_subsample_exit_2(self, capsys, tmp_path):
         # The stump's counts (1, 1) resealed as (1, 2) under subsample_size
         # 2: such a file used to decode, and predict ran on it.
@@ -708,6 +745,35 @@ class TestBench:
         assert by_kind["surrogate"]["rmse"] == pytest.approx(sf_rmse, abs=1e-12)
         assert by_kind["forest"]["bytes"] == measure_size(forest, "f64")
         assert by_kind["surrogate"]["bytes"] == measure_size(sf, "f64")
+
+    def test_f32_cell_scores_the_decoded_f32_models(self, capsys, tmp_path):
+        # An f32 cell reports the models its f32 files hold, not the
+        # in-memory f64 ones it encoded them from.
+        code, out, err = run_cli(
+            capsys, "bench", "friedman1:n=300,noise=1", "--d", "2", "--m", "3",
+            "--lambda", "1e-4", "--mode", "expectation", "--float", "f32",
+            "--test-fraction", "0.25", "--seed", "6",
+        )
+        assert code == 0, err
+        by_kind = {r["kind"]: r for r in map(json.loads, out.strip().splitlines()[1:])}
+        parts = split(gen_friedman1(300, 1.0, seed=6), 0.25, seed=6)
+        config = ForestConfig(
+            subsample_size=parts.train.n_rows, features_per_split=parts.train.n_features,
+            max_depth=2, n_trees=3, seed=6,
+        )
+        forest = fit_forest(parts.train, config)
+        sf = squash_forest(forest, parts.train, MlrFitConfig(l2_penalty=1e-4))
+
+        def rmse(model):
+            predictions = cli._model_predict_batch(model, parts.test.features)
+            return float(np.sqrt(np.mean((predictions - parts.test.responses) ** 2)))
+
+        for kind, model in (("forest", forest), ("surrogate", sf)):
+            blob = encode(model, "f32")
+            f32_rmse = rmse(decode(blob))
+            assert f32_rmse != pytest.approx(rmse(model), abs=1e-12), kind  # f32 shows
+            assert by_kind[kind]["rmse"] == pytest.approx(f32_rmse, abs=1e-12), kind
+            assert by_kind[kind]["bytes"] == len(blob), kind
 
     def test_bytes_scale_with_tree_count(self, capsys, tmp_path):
         code, out, err = run_cli(

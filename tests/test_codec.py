@@ -315,6 +315,24 @@ class TestDecodeErrors:
         with pytest.raises(CodecError, match="feature count"):
             decode(blob)
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("rows", 59, "subsample_size 60 exceeds dataset rows 59"),
+            ("k", 11, "features_per_split 11 exceeds feature count 10"),
+            ("min_leaf", 61, "min_leaf 61 exceeds subsample_size 60"),
+        ],
+    )
+    def test_config_past_the_recorded_shape_rejected(self, field, value, rule):
+        # fit_forest refuses such a config for its data; a file recording
+        # the same shape is refused alike
+        _, forest = _random_forest(22)
+        assert (forest.config.subsample_size, forest.n_features) == (60, 10)
+        offset = {"rows": FOREST_HEADER_BYTES - 12, "k": 4, "min_leaf": 16}[field]
+        blob = _with_payload_bytes(encode(forest, "f64"), offset, struct.pack("<I", value))
+        with pytest.raises(CodecError, match=f"^stored model is invalid: {rule}$"):
+            decode(blob)
+
     def test_nan_surrogate_parameter_rejected(self):
         sf = _random_surrogate(20)
         assert sf.surrogates[0].model is not None

@@ -25,7 +25,7 @@ from rfsquash.forest import (
     forest_predict,
     forest_predict_batch,
     rederive_subsamples,
-    subsample,
+    subsample_indices,
     traverse,
     traverse_batch,
     tree_predict,
@@ -158,12 +158,12 @@ def _column_loop_tree(dataset, rows, config, tree_seed):
 class TestSubsample:
     def test_full_sample_is_every_row(self):
         ds = gen_friedman1(17, 0.0, seed=0)
-        rows = subsample(ds, 17, seed=5, tree_id=0)
+        rows = subsample_indices(ds.n_rows, 17, seed=5, tree_id=0)
         assert sorted(rows) == list(range(17))
 
     def test_distinct_and_in_range(self):
         ds = gen_friedman1(10, 0.0, seed=0)
-        rows = subsample(ds, 3, seed=1, tree_id=2)
+        rows = subsample_indices(ds.n_rows, 3, seed=1, tree_id=2)
         assert len(rows) == 3
         assert len(set(rows.tolist())) == 3
         assert all(0 <= r < 10 for r in rows)
@@ -171,13 +171,13 @@ class TestSubsample:
     def test_oversized_draw_rejected(self):
         ds = gen_friedman1(5, 0.0, seed=0)
         with pytest.raises(ValueError, match="cannot draw"):
-            subsample(ds, 6, seed=0, tree_id=0)
+            subsample_indices(ds.n_rows, 6, seed=0, tree_id=0)
 
     def test_deterministic_per_key(self):
         ds = gen_friedman1(50, 0.0, seed=0)
-        a = subsample(ds, 10, seed=3, tree_id=7)
-        b = subsample(ds, 10, seed=3, tree_id=7)
-        c = subsample(ds, 10, seed=3, tree_id=8)
+        a = subsample_indices(ds.n_rows, 10, seed=3, tree_id=7)
+        b = subsample_indices(ds.n_rows, 10, seed=3, tree_id=7)
+        c = subsample_indices(ds.n_rows, 10, seed=3, tree_id=8)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -185,7 +185,7 @@ class TestSubsample:
         # binomial oracle over 10000 single-row draws from 4 rows
         ds = gen_friedman1(4, 0.0, seed=0)
         draws = np.array(
-            [subsample(ds, 1, seed=0, tree_id=t)[0] for t in range(10_000)]
+            [subsample_indices(ds.n_rows, 1, seed=0, tree_id=t)[0] for t in range(10_000)]
         )
         freq = np.bincount(draws, minlength=4) / 10_000
         tol = 3 * np.sqrt(0.25 * 0.75 / 10_000)
@@ -247,7 +247,7 @@ class TestFitTree:
         config = ForestConfig(
             subsample_size=80, features_per_split=4, max_depth=4, n_trees=1, min_leaf=5
         )
-        rows = subsample(ds, 80, seed=0, tree_id=0)
+        rows = subsample_indices(ds.n_rows, 80, seed=0, tree_id=0)
         tree = fit_tree(ds, rows, config, tree_seed=4)
         assert tree.leaf_counts.sum() == 80
         assert tree.leaf_counts.min() >= 5
@@ -423,7 +423,7 @@ def test_every_feature_as_candidate_draws_nothing(monkeypatch):
     generator, and grows the tree that drawing all p features grows."""
     ds = gen_friedman1(300, 1.0, seed=3)
     config = ForestConfig(subsample_size=200, features_per_split=10, max_depth=6, n_trees=1)
-    rows = subsample(ds, 200, seed=3, tree_id=0)
+    rows = subsample_indices(ds.n_rows, 200, seed=3, tree_id=0)
     drawn = _column_loop_tree(ds, rows, config, tree_seed=41)
 
     def no_draw(*key):
@@ -441,7 +441,7 @@ def test_fewer_features_than_p_draw_once_per_split_node(monkeypatch):
     # continuous features and responses: every node that searches splits
     ds = gen_friedman1(300, 1.0, seed=3)
     config = ForestConfig(subsample_size=200, features_per_split=3, max_depth=6, n_trees=1)
-    rows = subsample(ds, 200, seed=3, tree_id=0)
+    rows = subsample_indices(ds.n_rows, 200, seed=3, tree_id=0)
     keys, rng_for = [], _util.rng_for
 
     def recording_rng_for(*key):
