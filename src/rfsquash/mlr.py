@@ -44,11 +44,11 @@ since every leaf holds at least ``min_leaf`` >= 1 of its tree's rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _util
 from .errors import NumericError
@@ -172,9 +172,11 @@ class MlrFitResult:
 def multinomial_pmf(counts, theta, n: int) -> float:
     """Probability of an outcome-count vector under a multinomial distribution.
 
-    Computed through log-gamma so large trial counts do not overflow the
-    factorials; cells with zero count contribute a factor of one even when
-    their probability is zero.
+    Computed through the standard library's ``math.lgamma`` so large trial
+    counts do not overflow the factorials, with the log-factorials summed by
+    ``math.fsum`` so the result does not depend on the Python version; cells
+    with zero count contribute a factor of one even when their probability is
+    zero.
     """
     counts = np.asarray(counts)
     theta = np.asarray(theta, dtype=np.float64)
@@ -195,7 +197,8 @@ def multinomial_pmf(counts, theta, n: int) -> float:
     positive = counts > 0
     if np.any(theta[positive] == 0.0):
         return 0.0
-    log_coef = gammaln(n + 1) - np.sum(gammaln(counts + 1))
+    log_factorials = math.fsum(math.lgamma(c + 1) for c in counts.tolist())
+    log_coef = math.lgamma(n + 1) - log_factorials
     log_prob = np.sum(counts[positive] * np.log(theta[positive]))
     return float(np.exp(log_coef + log_prob))
 

@@ -114,7 +114,9 @@ class TreeSurrogate:
 @dataclass(frozen=True)
 class SurrogateForest:
     """The squashed ensemble: one surrogate per source tree, all predicted in
-    the ensemble's ``prediction_mode``. Every leaf value is finite."""
+    the ensemble's ``prediction_mode``. Every leaf value is finite. The config
+    passes ``validate_against`` as a forest's does, with its own subsample
+    size standing in for the row count, which a surrogate does not record."""
 
     surrogates: tuple[TreeSurrogate, ...]
     config: ForestConfig
@@ -130,6 +132,7 @@ class SurrogateForest:
         _check_mode(self.prediction_mode)
         if self.n_features < 1:
             raise ValueError("surrogate forest must record a positive feature count")
+        self.config.validate_against(self.config.subsample_size, self.n_features)
         for s in self.surrogates:
             if s.model.n_features != self.n_features:
                 raise ValueError(

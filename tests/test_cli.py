@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import zlib
 from pathlib import Path
 
@@ -554,6 +555,28 @@ class TestEvaluateAndPredict:
             assert (code, out) == (2, ""), argv
             assert err.splitlines() == [f"data error: stored model is invalid: {rule}"]
 
+    @pytest.mark.parametrize(
+        "at, value, rule",
+        [  # payload offsets of k and min_leaf in the config block
+            (4, 2, "features_per_split 2 exceeds feature count 1"),
+            (16, 3, "min_leaf 3 exceeds subsample_size 2"),
+        ],
+    )
+    def test_surrogate_config_past_its_shape_exits_2(self, capsys, tmp_path, at, value, rule):
+        # Such surrogate files used to decode, and predict ran on them.
+        _, sf = _stump_models()
+        blob = bytearray(encode(sf, "f64"))
+        blob[16 + at : 16 + at + 4] = struct.pack("<I", value)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+        model_path = tmp_path / "s.rfsq"
+        model_path.write_bytes(bytes(blob))
+        data_csv = tmp_path / "data.csv"
+        write_csv(Dataset(np.array([1.25, 2.5]), np.array([[0.25], [0.75]])), data_csv)
+        for command in ("predict", "evaluate"):
+            code, out, err = run_cli(capsys, command, str(model_path), str(data_csv))
+            assert (code, out) == (2, ""), command
+            assert err.splitlines() == [f"data error: stored model is invalid: {rule}"]
+
     def test_leaf_counts_off_the_subsample_exit_2(self, capsys, tmp_path):
         # The stump's counts (1, 1) resealed as (1, 2) under subsample_size
         # 2: such a file used to decode, and predict ran on it.
@@ -909,6 +932,38 @@ class TestUsage:
         assert result.returncode == code, result.stderr
         assert ("usage: rfsquash" in result.stdout) == (code == 0)
         assert ("invalid choice: 'bogus'" in result.stderr) == (code == 1)
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy made unimportable,
+        # the package imports and all five commands run
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None  # every scipy import now raises ImportError
+            from rfsquash import cli
+            from rfsquash.data import gen_friedman1, write_csv
+            from rfsquash.mlr import multinomial_pmf
+            spec = "friedman1:n=200,noise=1"
+            write_csv(gen_friedman1(20, 1.0, 0), "rows.csv")
+            for argv in (
+                ["train", spec, "--d", "2", "--m", "2", "--out", "f.rfsq"],
+                ["squash", "f.rfsq", spec, "--out", "s.rfsq"],
+                ["predict", "s.rfsq", "rows.csv", "--response", "y"],
+                ["evaluate", "s.rfsq", "rows.csv"],
+                ["bench", spec, "--d", "1", "--m", "1"],
+            ):
+                assert cli.main(argv) == 0, argv
+            assert abs(multinomial_pmf([2, 1, 0], [0.5, 0.3, 0.2], 3) - 0.225) < 1e-15
+        """)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("command", ["squash", "predict", "evaluate"])
     def test_commands_that_draw_nothing_reject_seed(self, capsys, tmp_path, command):

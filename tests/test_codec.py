@@ -333,6 +333,22 @@ class TestDecodeErrors:
         with pytest.raises(CodecError, match=f"^stored model is invalid: {rule}$"):
             decode(blob)
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("k", 7, "features_per_split 7 exceeds feature count 2"),
+            ("min_leaf", 11, "min_leaf 11 exceeds subsample_size 10"),
+        ],
+    )
+    def test_surrogate_config_past_its_shape_rejected(self, field, value, rule):
+        # a surrogate records no row count, so its subsample size stands in
+        sf = _manual_surrogate(3, 2)
+        assert (sf.config.subsample_size, sf.n_features) == (10, 2)
+        offset = {"k": 4, "min_leaf": 16}[field]
+        blob = _with_payload_bytes(encode(sf, "f64"), offset, struct.pack("<I", value))
+        with pytest.raises(CodecError, match=f"^stored model is invalid: {rule}$"):
+            decode(blob)
+
     def test_nan_surrogate_parameter_rejected(self):
         sf = _random_surrogate(20)
         assert sf.surrogates[0].model is not None

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.stats import multinomial
 
 from rfsquash import mlr
 from rfsquash.data import Dataset, gen_friedman1
@@ -97,6 +98,18 @@ class TestMultinomialPmf:
     def test_large_counts_do_not_overflow(self):
         value = multinomial_pmf([500, 500], [0.5, 0.5], 1000)
         assert 0 < value < 1
+
+    def test_matches_scipy_oracle(self):
+        # Independent oracle: scipy.stats' multinomial on seeded draws; the
+        # gap is the rounding of log-factorials of up to about 4e4 before exp.
+        rng = np.random.default_rng(28)
+        for _ in range(500):
+            k = int(rng.integers(2, 41))
+            n = int(rng.integers(1, 5001))
+            theta = rng.dirichlet(np.ones(k))
+            counts = rng.multinomial(n, theta)
+            expected = multinomial.pmf(counts, n, theta)
+            assert multinomial_pmf(counts, theta, n) == pytest.approx(expected, rel=1e-9)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="equal 1-D"):
