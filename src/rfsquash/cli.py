@@ -353,16 +353,18 @@ def cmd_squash(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_width(features: np.ndarray, p: int, path: str) -> np.ndarray:
+    if features.shape[1] != p:
+        raise DataError(f"model expects {p} features, {path} provides {features.shape[1]}")
+    return features
+
+
 def _load_features(path: str, response: str, expected_p: int) -> np.ndarray:
     header, values = read_numeric_csv(path)
     if response in header:
         keep = [i for i in range(len(header)) if i != header.index(response)]
         values = values[:, keep]
-    if values.shape[1] != expected_p:
-        raise DataError(
-            f"model expects {expected_p} features, {path} provides {values.shape[1]}"
-        )
-    return values
+    return _check_width(values, expected_p, path)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -388,12 +390,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = _read_model_file(args.model)
     dataset = load_csv(args.data, args.response)
     read_seconds = time.perf_counter() - t0
-    if dataset.n_features != model.n_features:
-        raise DataError(
-            f"model expects {model.n_features} features, "
-            f"{args.data} provides {dataset.n_features}"
-        )
-    predictions, per_1k = _timed_predictions(model, dataset.features)
+    features = _check_width(dataset.features, model.n_features, args.data)
+    predictions, per_1k = _timed_predictions(model, features)
     kind = "forest" if isinstance(model, Forest) else "surrogate_forest"
     _emit(
         {

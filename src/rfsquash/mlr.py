@@ -140,13 +140,14 @@ class MlrFitConfig:
     gradient_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.l2_penalty < 0:
-            raise ValueError(f"l2_penalty must be >= 0, got {self.l2_penalty}")
+        # written so that NaN fails them
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.gradient_tolerance <= 0:
+        if not 0 < self.gradient_tolerance < math.inf:
             raise ValueError(
-                f"gradient_tolerance must be positive, got {self.gradient_tolerance}"
+                f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance}"
             )
 
 
@@ -249,31 +250,36 @@ def predict_class(model: MlrModel, x: np.ndarray) -> int:
     return int(np.argmax(class_probabilities(model, x)))
 
 
-def _check_labels(labels: np.ndarray, k: int) -> np.ndarray:
+def _check_data(
+    features: np.ndarray, labels: np.ndarray, k: int, p: int | None, owner: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one input check of ``fit_mlr`` and the ``penalized_*`` functions:
+    rows of width p, all finite (else NumericError), one label in 0..k-1 each."""
+    x = _util.rows(features, p, owner)
+    if not np.isfinite(x).all():
+        raise NumericError("features contain non-finite values")
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D vector")
-    if not np.all(labels == np.floor(labels)):
+    if not (np.isfinite(labels).all() and np.all(labels == np.floor(labels))):
         raise ValueError("labels must be integers")
     labels = labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(
-            f"labels must lie in 0..{k - 1}, got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
+        lo, hi = labels.min(), labels.max()
+        raise ValueError(f"labels must lie in 0..{k - 1}, got range [{lo}, {hi}]")
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError(f"{x.shape[0]} feature rows vs {labels.shape[0]} labels")
+    return x, labels
 
 
 def penalized_log_likelihood(
     model: MlrModel, features: np.ndarray, labels: np.ndarray, l2_penalty: float
 ) -> float:
-    """Multinomial log-likelihood of per-row labels minus the L2 penalty."""
-    labels = _check_labels(labels, model.n_categories)
-    logits = _logit_matrix(model, features)
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"{logits.shape[0]} feature rows vs {labels.shape[0]} labels"
-        )
+    """Multinomial log-likelihood of per-row labels minus the L2 penalty.
+    Raises ValueError unless the features are rows of the model's width with
+    one integer label in 0..K-1 per row, NumericError on a non-finite feature."""
+    x, labels = _check_data(features, labels, model.n_categories, model.n_features, "mlr model")
+    logits = _logit_matrix(model, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     ll = float(np.sum(logits[np.arange(labels.shape[0]), labels] - lse))
@@ -287,9 +293,9 @@ def penalized_gradient(
     model: MlrModel, features: np.ndarray, labels: np.ndarray, l2_penalty: float
 ) -> np.ndarray:
     """Gradient of the penalized log-likelihood, flattened in the fixed order
-    (intercept_1, coefs_1, ..., intercept_{K-1}, coefs_{K-1})."""
-    labels = _check_labels(labels, model.n_categories)
-    x = _util.rows(features, model.n_features, "mlr model")
+    (intercept_1, coefs_1, ..., intercept_{K-1}, coefs_{K-1}). Raises as
+    ``penalized_log_likelihood`` does, and NumericError on a NaN logit."""
+    x, labels = _check_data(features, labels, model.n_categories, model.n_features, "mlr model")
     probs = class_probability_matrix(model, x)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(labels.shape[0]), labels] = 1.0
@@ -609,16 +615,11 @@ def fit_mlr(
         The fitted model plus whether the gradient tolerance was met before
         the iteration cap.
     """
-    x = _util.rows(features, None, "fit_mlr")
-    if x.shape[0] == 0:
-        raise ValueError("empty feature matrix: no rows")
-    if not np.isfinite(x).all():
-        raise NumericError("features contain non-finite values")
     if n_categories < 1:
         raise ValueError(f"need n_categories >= 1, got {n_categories}")
-    labels = _check_labels(labels, n_categories)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError(f"{x.shape[0]} feature rows vs {labels.shape[0]} labels")
+    x, labels = _check_data(features, labels, n_categories, None, "fit_mlr")
+    if x.shape[0] == 0:
+        raise ValueError("empty feature matrix: no rows")
 
     active = np.flatnonzero(np.bincount(labels, minlength=n_categories)[:-1])
     objective = _Objective(x, labels, n_categories, active, config.l2_penalty)

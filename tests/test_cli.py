@@ -247,6 +247,28 @@ class TestSquash:
         )
         assert json.loads(out)["surrogates_converged"] == 0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "gradient_tolerance must be finite and positive, got nan"),
+            ("--tol", "inf", "gradient_tolerance must be finite and positive, got inf"),
+            ("--lambda", "nan", "l2_penalty must be finite and >= 0, got nan"),
+            ("--lambda", "inf", "l2_penalty must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_non_finite_fit_setting_exits_1(self, capsys, tmp_path, flag, value, message):
+        # NaN passed the old range checks and gave 0-step fits, a surrogate
+        # file and a report that is not JSON; inf tolerance reported every
+        # fit converged after 0 steps
+        forest_path = self._train(capsys, tmp_path, d="2", m="2")
+        out = tmp_path / "s.rfsq"
+        code, stdout, err = run_cli(
+            capsys, "squash", str(forest_path), AXIS_SPEC, flag, value, "--out", str(out)
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"usage error: {message}"]
+        assert not out.exists()
+
     def test_wrong_training_data_exits_2(self, capsys, tmp_path):
         forest_path = self._train(capsys, tmp_path)
         out = tmp_path / "s.rfsq"

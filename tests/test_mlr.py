@@ -541,14 +541,25 @@ class TestFitMlr:
             fit_mlr(x, np.array([0, 1, 5]), 2, MlrFitConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MlrFitConfig(l2_penalty=-1.0)
-        with pytest.raises(ValueError):
-            MlrFitConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            MlrFitConfig(gradient_tolerance=0.0)
+        # NaN fails every comparison, so each check is written so that NaN
+        # fails it; +inf is no penalty or tolerance either
+        for field, value, message in (
+            ("l2_penalty", -1e-300, "l2_penalty must be finite and >= 0, got -1e-300"),
+            ("l2_penalty", np.nan, "l2_penalty must be finite and >= 0, got nan"),
+            ("l2_penalty", np.inf, "l2_penalty must be finite and >= 0, got inf"),
+            ("max_iterations", 0, "max_iterations must be >= 1, got 0"),
+            ("gradient_tolerance", 0.0, "gradient_tolerance must be finite and positive, got 0.0"),
+            ("gradient_tolerance", np.nan, "gradient_tolerance must be finite and positive, got nan"),
+            ("gradient_tolerance", np.inf, "gradient_tolerance must be finite and positive, got inf"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MlrFitConfig(**{field: value})
         with pytest.raises(TypeError):  # one optimizer; there is nothing to pick
             MlrFitConfig(optimizer="sgd")
+        # the edges of each range are accepted
+        MlrFitConfig(l2_penalty=0.0, max_iterations=1, gradient_tolerance=5e-324)
+        big = np.finfo(np.float64).max
+        MlrFitConfig(l2_penalty=big, gradient_tolerance=big)
 
     @pytest.mark.parametrize("column", [[1e155, 0.0], [1e300, -1e300], [0.0, 1e-160]])
     def test_features_past_the_standardization_range_raise(self, column):
@@ -561,16 +572,31 @@ class TestFitMlr:
                 fit_mlr(x, np.array([0, 1]), 2, MlrFitConfig())
 
     def test_malformed_inputs_are_rejected(self):
+        # the fit and both reference functions of its objective share one
+        # check, so each bad input fails the same way in all three
+        model = MlrModel(np.zeros(1), np.ones((1, 1)))
+        entry_points = (
+            lambda x, labels: fit_mlr(x, labels, 2, MlrFitConfig()),
+            lambda x, labels: penalized_log_likelihood(model, x, labels, 0.0),
+            lambda x, labels: penalized_gradient(model, x, labels, 0.0),
+        )
         x = np.zeros((3, 1))
-        with pytest.raises(ValueError, match="1-D"):
-            fit_mlr(x, np.zeros((3, 1), dtype=int), 2, MlrFitConfig())
-        with pytest.raises(ValueError, match="integers"):
-            fit_mlr(x, np.array([0.0, 0.5, 1.0]), 2, MlrFitConfig())
-        with pytest.raises(ValueError, match="3 feature rows vs 2 labels"):
-            fit_mlr(x, np.array([0, 1]), 2, MlrFitConfig())
-        model = MlrModel(np.zeros(1), np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="3 feature rows vs 2 labels"):
-            penalized_log_likelihood(model, x, np.array([0, 1]), 0.0)
+        for call in entry_points:
+            with pytest.raises(ValueError, match="1-D"):
+                call(x, np.zeros((3, 1), dtype=int))
+            with pytest.raises(ValueError, match="integers"):
+                call(x, np.array([0.0, 0.5, 1.0]))
+            with pytest.raises(ValueError, match="integers"):  # no cast warning
+                call(x, np.array([0.0, np.inf, 1.0]))
+            with pytest.raises(ValueError, match=re.escape("labels must lie in 0..1")):
+                call(x, np.array([0, 1, 2]))
+            for labels in (np.array([0, 1]), np.array([0, 1, 0, 1])):
+                message = f"3 feature rows vs {len(labels)} labels"
+                with pytest.raises(ValueError, match=message):
+                    call(x, labels)
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericError, match="features contain non-finite values"):
+                    call(np.array([[0.5], [value], [1.0]]), np.array([0, 1, 0]))
 
     def test_model_shapes_are_checked(self):
         with pytest.raises(ValueError, match=r"\(K-1,\)"):
